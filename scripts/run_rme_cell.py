@@ -6,8 +6,8 @@ Usage:
 The config file uses the same flat key = value format as the CLI, with the
 DGP keys (n, p, var_design, innovation, nu, factor_design, r, sigma_eps,
 burn_in) plus optional estimation keys (d, n_lambda, n_folds, tau_grid_size).
-Replications are persisted as JSON and skipped on re-runs, so an interrupted
-sweep resumes where it stopped. The full 200-replication reproduction of the
+Replications run in order in one process, are persisted as JSON and are
+skipped on re-runs, so an interrupted sweep resumes where it stopped. The full 200-replication reproduction of the
 no-factor tables is exactly:
 
     n = 100
@@ -41,7 +41,6 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--norms", default="max_elementwise,l2_col_max")
     args = parser.parse_args()
 
@@ -56,7 +55,6 @@ def main() -> int:
         reps=args.reps,
         seed=args.seed,
         norms=tuple(args.norms.split(",")),
-        threads=args.threads,
         out=Path(args.out),
         **est,
     )

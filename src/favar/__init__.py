@@ -11,7 +11,6 @@ from .evaluate import (
     RmeReport,
     fluctuation_test,
     matrix_error,
-    max_row_l2,
     rme,
 )
 from .factors import FactorFit, FactorNumberReport, fit_factors, project_common, select_r
@@ -22,7 +21,7 @@ from .forecast import (
     forecast_idio,
     rolling_forecast,
 )
-from .moments import GramSystem, LaggedMoment, autocov, build_gram, max_norm_diff
+from .moments import GramSystem, autocov, build_gram, max_norm_diff
 from .panel import PanelSeries, ScaleVector, load_csv, mad_scales, standardise, write_csv
 from .pipeline import FavarFit, FitOptions, StageError, fit, refit_options
 from .simulate import (

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -173,6 +172,8 @@ class ExperimentConfig:
     ``tau`` is the truncated arm's level ("cv" or a fixed value); the
     comparison arm always runs untruncated. Setting ``tau`` to ``inf`` makes
     the two arms identical, which pins the relative error at exactly one.
+    Replications run in order in one thread. ``threads`` is accepted so that
+    existing callers keep working, and is ignored.
     """
 
     dgp: DgpSpec
@@ -230,53 +231,83 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev.RmeReport]:
-    """Run (or resume) all replications of a cell and aggregate the RMEs.
+def _cell_fingerprint(cfg: ExperimentConfig) -> dict:
+    """The settings a replication's result depends on, as flat JSON values.
 
-    Per-replication results are persisted as JSON when an output directory is
-    configured; completed replications found on disk are not recomputed, so
-    an interrupted sweep resumes where it stopped.
+    ``reps``, ``out`` and ``threads`` are left out: a cell may be extended
+    with more replications or moved without invalidating finished ones.
+    """
+    fields = {f"dgp.{k}": v for k, v in asdict(cfg.dgp).items()}
+    fields.update(
+        seed=cfg.seed, d=cfg.d, norms=list(cfg.norms), tau=cfg.tau,
+        tau_grid_size=cfg.tau_grid_size, cv_lags=cfg.cv_lags,
+        n_lambda=cfg.n_lambda, n_folds=cfg.n_folds,
+    )
+    return json.loads(json.dumps(fields))
+
+
+def _read_replication(path: Path, fingerprint: dict) -> dict | None:
+    """A finished replication, or None when the file is missing, unreadable
+    or carries no fingerprint.
+
+    A readable file written under another cell configuration is refused
+    with ``ValueError`` naming the first differing key.
+    """
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        stored = dict(record["config"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    differing = [k for k in sorted(set(stored) | set(fingerprint))
+                 if stored.get(k) != fingerprint.get(k)]
+    if differing:
+        key = differing[0]
+        raise ValueError(
+            f"{path} was computed with {key} = {stored.get(key)!r}, this cell has "
+            f"{fingerprint.get(key)!r}; use a fresh output directory"
+        )
+    return record
+
+
+def _write_replication(path: Path, record: dict) -> None:
+    """Write via a temporary name and an atomic rename, so no half-written
+    ``rep_*.json`` is ever left behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev.RmeReport]:
+    """Run (or resume) all replications of a cell, in order, and aggregate the RMEs.
+
+    Per-replication results are persisted as JSON, together with the cell
+    fingerprint, when an output directory is configured. Finished
+    replications found on disk are not recomputed, so an interrupted sweep
+    resumes where it stopped; unreadable ones are recomputed, and ones from
+    another configuration are refused.
     """
     rep_dir = None
     if cfg.out is not None:
         rep_dir = Path(cfg.out) / "replications"
         rep_dir.mkdir(parents=True, exist_ok=True)
-
-    def rep_path(i: int) -> Path | None:
-        return None if rep_dir is None else rep_dir / f"rep_{i:04d}.json"
-
-    def persist(i: int, result: dict) -> None:
-        path = rep_path(i)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-
-    results: dict[int, dict] = {}
-    todo = []
-    for i in range(cfg.reps):
-        path = rep_path(i)
-        if path is not None and path.exists():
-            results[i] = json.loads(path.read_text(encoding="utf-8"))
-        else:
-            todo.append(i)
-    if todo:
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                for i, res in zip(todo, pool.map(lambda i: _run_replication(cfg, i), todo)):
-                    results[i] = res
-                    persist(i, res)  # completed work survives an interruption
-        else:
-            for i in todo:
-                results[i] = _run_replication(cfg, i)
-                persist(i, results[i])
-                if verbose:
-                    print(f"replication {i + 1}/{cfg.reps} done", flush=True)
+    fingerprint = _cell_fingerprint(cfg)
+    paths = [None if rep_dir is None else rep_dir / f"rep_{i:04d}.json" for i in range(cfg.reps)]
+    # read everything first, so a refused directory is left untouched
+    results = [None if path is None else _read_replication(path, fingerprint) for path in paths]
+    for i, path in enumerate(paths):
+        if results[i] is None:
+            results[i] = {**_run_replication(cfg, i), "config": fingerprint}
+            if path is not None:
+                _write_replication(path, results[i])  # finished work survives an interruption
+            if verbose:
+                print(f"replication {i + 1}/{cfg.reps} done", flush=True)
 
     reports = {}
     for norm in cfg.norms:
-        num = sum(results[i]["errors"][norm]["trunc"] for i in range(cfg.reps))
-        den = sum(results[i]["errors"][norm]["plain"] for i in range(cfg.reps))
+        num = sum(rec["errors"][norm]["trunc"] for rec in results)
+        den = sum(rec["errors"][norm]["plain"] for rec in results)
         reports[norm] = ev.RmeReport(numerator=num, denominator=den, count=cfg.reps)
 
     if cfg.out is not None:
@@ -300,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev
             "n_folds": cfg.n_folds,
         }
         files = ["rme.csv"] + [f"replications/rep_{i:04d}.json" for i in range(cfg.reps)]
-        _manifest(out, "experiment", config_snapshot, files, threads=cfg.threads)
+        _manifest(out, "experiment", config_snapshot, files)
     return reports
 
 
@@ -320,21 +351,15 @@ def _resolve_factors(value: str):
     return r
 
 
+def _tau_and_lambda(args) -> tuple[float | str, float | str]:
+    """Resolve --tau/--tau-cv and --lambda/--lambda-cv; a -cv flag wins, CV is the default."""
+    tau = "cv" if args.tau_cv or args.tau is None else float(args.tau)
+    lam = "cv" if args.lambda_cv or args.lam is None else float(args.lam)
+    return tau, lam
+
+
 def _fit_options_from_args(args) -> FitOptions:
-    tau: float | str
-    if args.tau_cv:
-        tau = "cv"
-    elif args.tau is not None:
-        tau = float(args.tau)
-    else:
-        tau = "cv"
-    lam: float | str
-    if args.lambda_cv:
-        lam = "cv"
-    elif args.lam is not None:
-        lam = float(args.lam)
-    else:
-        lam = "cv"
+    tau, lam = _tau_and_lambda(args)
     return FitOptions(
         r=_resolve_factors(args.factors),
         r_max=args.r_max,
@@ -383,7 +408,6 @@ def cmd_simulate(args) -> int:
         "simulate",
         {"dgp": raw, "reps": args.reps, "seed": args.seed},
         files,
-        threads=args.threads,
     )
     print(f"wrote {args.reps} replications under {out}")
     return 0
@@ -426,7 +450,6 @@ def cmd_estimate(args) -> int:
             **result.config,
         },
         files,
-        threads=args.threads,
     )
     print("\n".join(summary))
     return 0
@@ -434,7 +457,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_forecast(args) -> int:
     x = load_csv(args.input, has_header=not args.no_header)
-    tau: float | str = "cv" if args.tau is None else float(args.tau)
+    tau, lam = _tau_and_lambda(args)
     opts = ForecastOptions(
         window=args.window,
         horizon=args.horizon,
@@ -445,7 +468,7 @@ def cmd_forecast(args) -> int:
         tau=tau,
         reselect_tau=not args.fixed_tau,
         tau_grid_size=args.tau_grid_size,
-        lam="cv" if args.lam is None else float(args.lam),
+        lam=lam,
         n_lambda=args.n_lambda,
         n_folds=args.folds,
     )
@@ -476,12 +499,11 @@ def cmd_forecast(args) -> int:
             "horizon": args.horizon,
             "order": args.order,
             "factors": args.factors,
-            "tau": "cv" if args.tau is None else args.tau,
+            "tau": tau,
             "fixed_tau": args.fixed_tau,
             "baseline": args.baseline,
         },
         files,
-        threads=args.threads,
     )
     skipped = len(run.skipped)
     print(f"{run.origins.size} origins forecast, {skipped} skipped, outputs in {out}")
@@ -597,8 +619,6 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--tau-cv", action="store_true",
                      help="select the truncation level by cross-validation (default)")
     sub.add_argument("--tau-grid-size", type=int, default=60)
-    sub.add_argument("--cv-lags", type=int, default=None,
-                     help="lag range of the tau CV score (defaults to the VAR order)")
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="fixed l1 penalty")
     sub.add_argument("--lambda-cv", action="store_true",
@@ -609,9 +629,6 @@ def _add_common_fit_flags(sub):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="favar", description=__doc__)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for replication sweeps (recorded in manifests; "
-                             "results are identical for any value)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="generate seeded panels from a DGP config")
@@ -629,6 +646,8 @@ def build_parser() -> _Parser:
     est.add_argument("--r-max", type=int, default=8)
     est.add_argument("--d", type=int, default=1, help="VAR order")
     _add_common_fit_flags(est)
+    est.add_argument("--cv-lags", type=int, default=None,
+                     help="lag range of the tau CV score (defaults to the VAR order)")
     est.add_argument("--out", required=True)
     est.set_defaults(func=cmd_estimate)
 
@@ -688,14 +707,14 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)
         return 2 if e.category == "usage" else 1
-    except FileNotFoundError as e:
-        print(f"error:input: {e}", file=sys.stderr)
-        return 1
     except StageError as e:
         print(f"error:stage:{e.stage}: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # a file that cannot be read, parsed or written
         print(f"error:input: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:
+        print(f"error:internal: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

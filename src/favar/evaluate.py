@@ -75,32 +75,23 @@ class FluctuationResult:
 
     def __post_init__(self):
         object.__setattr__(self, "stats", _frozen(self.stats))
-        reject = np.asarray(self.reject, dtype=bool)
-        reject.flags.writeable = False
-        object.__setattr__(self, "reject", reject)
+        object.__setattr__(self, "reject", _frozen(self.reject, dtype=bool))
 
     @property
     def any_reject(self) -> bool:
         return bool(self.reject.any())
 
 
-def _as_matrix_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def max_row_l2(a_hat, a) -> float:
-    """Largest Euclidean norm among the rows of the difference."""
-    a_hat, a = _as_matrix_pair(a_hat, a)
-    return float(np.max(np.sqrt(np.sum((a_hat - a) ** 2, axis=1))))
-
-
 def matrix_error(a_hat, a, metric: str) -> float:
-    """Difference size under one of the named matrix norms."""
-    a_hat, a = _as_matrix_pair(a_hat, a)
+    """Difference size under one of the named matrix norms.
+
+    ``max_row_l2`` is the largest Euclidean norm among the rows of the
+    difference, ``l2_col_max`` the largest among its columns.
+    """
+    a_hat = np.asarray(a_hat, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if a_hat.shape != a.shape:
+        raise ValueError(f"shape mismatch: {a_hat.shape} vs {a.shape}")
     diff = a_hat - a
     if metric == "max_row_l2":
         return float(np.max(np.sqrt(np.sum(diff**2, axis=1))))

@@ -62,7 +62,8 @@ class ForecastRun:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("origins", "forecasts", "common_part", "idio_part", "realized", "taus"):
+        object.__setattr__(self, "origins", _frozen(self.origins, dtype=int))
+        for name in ("forecasts", "common_part", "idio_part", "realized", "taus"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     def errors(self) -> np.ndarray:

@@ -22,18 +22,6 @@ def _values(x) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LaggedMoment:
-    """Sample lagged second-moment matrix at a given lag, divisor n - h."""
-
-    lag: int
-    matrix: np.ndarray
-    divisor: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
-
-
-@dataclass(frozen=True, eq=False)
 class GramSystem:
     """Stacked moment matrices feeding the row-wise lasso.
 
@@ -62,19 +50,38 @@ class GramSystem:
         object.__setattr__(self, "gamma", _frozen(g))
 
 
-def autocov_matrix(values: np.ndarray, h: int) -> np.ndarray:
-    """Lag-h sample second-moment matrix with divisor n - h, no centring."""
-    values = np.asarray(values, dtype=float)
+def autocov(x, h: int) -> np.ndarray:
+    """Lag-h sample second-moment matrix of a panel or array, divisor n - h, no centring."""
+    values = _values(x)
     n = values.shape[0]
     if h < 0 or h >= n:
         raise ValueError(f"lag {h} out of range for {n} observations")
     return values[h:].T @ values[: n - h] / (n - h)
 
 
-def autocov(x, h: int) -> LaggedMoment:
-    """Lag-h sample second-moment matrix of a panel."""
-    values = _values(x)
-    return LaggedMoment(lag=h, matrix=autocov_matrix(values, h), divisor=values.shape[0] - h)
+def _segment_gram(values: np.ndarray, segments, d: int):
+    """Pooled lagged design/response cross-products over contiguous index segments.
+
+    Row t of a segment's design holds the d most recent lags (newest first)
+    and its response row is the series at t. Returns the undivided
+    ``(design' design, design' response, rows)``; callers divide and
+    symmetrise.
+    """
+    p = values.shape[1]
+    xtx = np.zeros((p * d, p * d))
+    xty = np.zeros((p * d, p))
+    rows = 0
+    for lo, hi in segments:
+        m = hi - lo
+        if m < d + 1:
+            continue
+        seg = values[lo:hi]
+        design = np.concatenate([seg[d - ell : m - ell] for ell in range(1, d + 1)], axis=1)
+        response = seg[d:]
+        xtx += design.T @ design
+        xty += design.T @ response
+        rows += m - d
+    return xtx, xty, rows
 
 
 def build_gram(xi_hat, d: int) -> GramSystem:
@@ -89,21 +96,17 @@ def build_gram(xi_hat, d: int) -> GramSystem:
         raise ValueError("VAR order d must be at least 1")
     if n < d + 2:
         raise ValueError(f"need at least d + 2 = {d + 2} observations, got {n}")
-    N = n - d
-    design = np.concatenate([values[d - ell : n - ell] for ell in range(1, d + 1)], axis=1)
-    response = values[d:]
-    Gamma = design.T @ design / N
-    gamma = design.T @ response / N
+    xtx, xty, N = _segment_gram(values, [(0, n)], d)
+    Gamma = xtx / N
+    gamma = xty / N
     Gamma = 0.5 * (Gamma + Gamma.T)
     return GramSystem(Gamma=Gamma, gamma=gamma, N=N, d=d, p=p)
 
 
-def max_norm_diff_values(a: np.ndarray, b: np.ndarray) -> float:
+def max_norm_diff(a, b) -> float:
+    """Max entrywise absolute difference of two equally shaped matrices."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
-
-
-def max_norm_diff(a, b) -> float:
-    """Max entrywise absolute difference of two equally shaped matrices."""
-    return max_norm_diff_values(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

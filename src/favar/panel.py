@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, order="C")
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 

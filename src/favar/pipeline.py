@@ -46,12 +46,11 @@ class FitOptions:
     ``tau`` is either "cv", a fixed level on the standardised scale, or
     ``inf`` for no truncation. ``lam`` is either "cv" or a fixed penalty.
     ``r`` is a known factor number (0 for none) or "auto" for the
-    information-criterion choice.
+    information-criterion choice (the IC_p2 criterion).
     """
 
     r: int | str = 0
     r_max: int = 8
-    r_criterion: str = "icp2"
     d: int = 1
     tau: float | str = "cv"
     tau_grid_size: int = 60
@@ -150,7 +149,7 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
     if opts.r == "auto":
         with _stage("factor-number"):
             report = select_r(xt, opts.r_max)
-            r = report.chosen[opts.r_criterion]
+            r = report.chosen["icp2"]
     else:
         r = int(opts.r)
 

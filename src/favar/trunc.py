@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import autocov_matrix, max_norm_diff_values
+from .moments import autocov, max_norm_diff
 from .panel import PanelSeries, ScaleVector, _frozen
 
 
@@ -123,20 +123,16 @@ def cv_tau(x: PanelSeries, s: ScaleVector, d: int, grid: TauGrid) -> TauCvReport
     if half < d + 1 or (n - half) < d + 1:
         raise ValueError(f"folds of length {half} and {n - half} too short for lag {d}")
     folds = (x.values[:half], x.values[half:])
-    plain = [
-        [autocov_matrix(f, h) for h in range(d + 1)] for f in folds
-    ]
+    plain = [[autocov(f, h) for h in range(d + 1)] for f in folds]
     scores = np.empty(grid.size)
     for k, tau in enumerate(grid.values):
         thr = s.sigma * tau
         clipped = [truncate_values(f, thr) for f in folds]
         worst = 0.0
         for h in range(d + 1):
-            g1 = autocov_matrix(clipped[0], h)
-            g2 = autocov_matrix(clipped[1], h)
-            score_h = max_norm_diff_values(g1, plain[1][h]) + max_norm_diff_values(
-                g2, plain[0][h]
-            )
+            g1 = autocov(clipped[0], h)
+            g2 = autocov(clipped[1], h)
+            score_h = max_norm_diff(g1, plain[1][h]) + max_norm_diff(g2, plain[0][h])
             worst = max(worst, score_h)
         scores[k] = worst
     minimisers = np.flatnonzero(scores == scores.min())

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import GramSystem, build_gram
-from .panel import PanelSeries, _frozen
+from .moments import GramSystem, _segment_gram, _values, build_gram
+from .panel import _frozen
 
 
 class ConvergenceError(RuntimeError):
@@ -183,16 +183,15 @@ def _cd_solve(
     beta0: np.ndarray | None = None,
     order: str = "forward",
     check_objective: bool = False,
-    accelerate: bool = True,
 ):
     """Cyclic coordinate descent run jointly over every column of ``gamma``.
 
     Columns are independent problems sharing one Gamma; each is frozen the
     first time its sweep delta and KKT gap both clear their tolerances.
-    ``accelerate`` lets columns whose support and signs were stable across a
-    full sweep jump to the frozen pattern's exact solution (see
-    ``_refine_stable_columns``); with it off the iteration is plain textbook
-    coordinate descent.
+    After every sweep the unfinished columns jump to the exact solution of
+    their current sign pattern (see ``_refine_columns``). With
+    ``check_objective`` the jumps are off, so the iteration is plain textbook
+    coordinate descent whose objective is asserted never to increase.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -248,7 +247,7 @@ def _cd_solve(
                 thresh[j] = max(thresh[j] * shrink, 1e-300)
         if not remaining.any():
             return B, iters
-        if accelerate and not check_objective and remaining.any():
+        if not check_objective:
             _refine_columns(Gamma, gamma, B, Q, lam, np.flatnonzero(remaining))
     gaps = np.array(
         [
@@ -316,23 +315,10 @@ def fit_var(
     return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=G.d, active_set=active, iterations=iters)
 
 
-def _segment_gram(values: np.ndarray, segments, d: int):
-    """Pooled design/response cross-products over contiguous index segments."""
-    p = values.shape[1]
-    xtx = np.zeros((p * d, p * d))
-    xty = np.zeros((p * d, p))
-    rows = 0
-    for lo, hi in segments:
-        m = hi - lo
-        if m < d + 1:
-            continue
-        seg = values[lo:hi]
-        design = np.concatenate([seg[d - ell : m - ell] for ell in range(1, d + 1)], axis=1)
-        response = seg[d:]
-        xtx += design.T @ design
-        xty += design.T @ response
-        rows += m - d
-    return xtx, xty, rows
+# lambda path depth: the grid runs down to this fraction of its largest value
+_LAMBDA_DEPTH = 1e-3
+# absolute sweep tolerance floor of the path solves, which only feed CV scores
+_PATH_SOLVE_TOL = 1e-5
 
 
 def cv_lambda(
@@ -342,22 +328,21 @@ def cv_lambda(
     n_folds: int = 5,
     tol: float = 1e-7,
     max_iter: int = 100_000,
-    lambda_min_ratio: float = 1e-3,
-    path_tol: float = 1e-5,
 ) -> LambdaCvReport:
     """Choose lambda by one-step-ahead prediction over contiguous time folds.
 
     The path starts at the smallest lambda that zeroes the fit on the full
     data and on every training fold, and decreases geometrically down to
-    ``lambda_min_ratio`` times that. Solutions are warm-started along the
+    ``_LAMBDA_DEPTH`` (1e-3) times that. Solutions are warm-started along the
     path. Held-out points are predicted from the observed lags immediately
     preceding them; the score is the mean squared prediction error.
 
-    Path solves feed nothing but those validation errors, so they run at
-    ``path_tol`` scaled by the moment magnitude; refit at the chosen penalty
-    with ``fit_var`` (tolerance ``tol``) for a certified solution.
+    Path solves feed nothing but those validation errors, so they run at the
+    absolute tolerance ``max(tol, 1e-5)``, not scaled by the moment
+    magnitude; refit at the chosen penalty with ``fit_var`` (tolerance
+    ``tol``) for a certified solution.
     """
-    values = xi_hat.values if isinstance(xi_hat, PanelSeries) else np.asarray(xi_hat, float)
+    values = _values(xi_hat)
     n, p = values.shape
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
@@ -385,21 +370,18 @@ def cv_lambda(
         va_resp = values[val_t]
         folds.append((Gamma, gamma, va_design, va_resp))
         lam_max = max(lam_max, 2.0 * float(np.max(np.abs(gamma))))
-    grid = np.geomspace(lam_max, lam_max * lambda_min_ratio, n_lambda)
+    grid = np.geomspace(lam_max, lam_max * _LAMBDA_DEPTH, n_lambda)
     fold_scores = np.empty((n_folds, n_lambda))
     for k, (Gamma, gamma, va_design, va_resp) in enumerate(folds):
         B = np.zeros_like(gamma)
-        tol_fold = max(tol, path_tol)
+        tol_fold = max(tol, _PATH_SOLVE_TOL)
         for i, lam in enumerate(grid):
             B, _ = _cd_solve(Gamma, gamma, float(lam), tol_fold, max_iter, beta0=B)
             resid = va_resp - va_design @ B
             fold_scores[k, i] = float(np.mean(resid**2))
     mean_scores = fold_scores.mean(axis=0)
     chosen = int(np.argmin(mean_scores))  # first minimum, i.e. the largest lambda
-    if n_folds > 1:
-        se = float(fold_scores[:, chosen].std(ddof=1) / math.sqrt(n_folds))
-    else:
-        se = 0.0
+    se = float(fold_scores[:, chosen].std(ddof=1) / math.sqrt(n_folds))
     one_se = int(np.flatnonzero(mean_scores <= mean_scores[chosen] + se)[0])
     return LambdaCvReport(
         grid=grid,

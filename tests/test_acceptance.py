@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import favar.evaluate as ev
 from favar.cli import ExperimentConfig, main, run_experiment
@@ -139,6 +140,7 @@ def test_criterion_03_factor_invariants_and_eigen_growth():
                 f"{means[50] / means[25]:.2f}, {means[100] / means[50]:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_04_scaled_table_reproduction(tmp_path):
     start = time.time()
     cells = {
@@ -177,6 +179,7 @@ def test_criterion_04_scaled_table_reproduction(tmp_path):
                 f"normal = {ratios['gaussian']:.3f} ({elapsed / 60:.1f} min)")
 
 
+@pytest.mark.slow
 def test_criterion_05_heavy_tail_dominance():
     wins = 0
     for seed in range(20):
@@ -188,8 +191,8 @@ def test_criterion_05_heavy_tail_dominance():
         base = dict(r=3, d=1, lam="cv", n_lambda=30, n_folds=5)
         fit_trunc = fit(panel.x, FitOptions(tau="cv", **base))
         fit_plain = fit(panel.x, FitOptions(tau=math.inf, **base))
-        err_trunc = ev.max_row_l2(fit_trunc.var.A, panel.A)
-        err_plain = ev.max_row_l2(fit_plain.var.A, panel.A)
+        err_trunc = ev.matrix_error(fit_trunc.var.A, panel.A, "max_row_l2")
+        err_plain = ev.matrix_error(fit_plain.var.A, panel.A, "max_row_l2")
         wins += err_trunc < err_plain
     assert wins >= 16
     announce(5, f"truncated fit beats untruncated in {wins}/20 heavy-tail pairs")

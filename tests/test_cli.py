@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from favar import cli
 from favar.cli import ExperimentConfig, main, parse_config, run_experiment
 from favar.simulate import DgpSpec
 
@@ -236,3 +239,82 @@ def test_run_experiment_thread_count_invariance(tmp_path):
     assert read_bytes(tmp_path / "t1") == read_bytes(tmp_path / "t2")
     for norm in solo:
         assert solo[norm].ratio == multi[norm].ratio
+
+
+def test_run_experiment_refuses_directory_of_another_configuration(tmp_path):
+    out = tmp_path / "cell"
+    cfg = experiment_config(out, reps=1)
+    run_experiment(cfg)
+    before = read_bytes(out)
+    changed = replace(cfg, reps=2, dgp=replace(cfg.dgp, innovation="student_t", nu=2.1))
+    with pytest.raises(ValueError, match="dgp.innovation"):
+        run_experiment(changed)
+    assert read_bytes(out) == before
+
+
+def test_run_experiment_recomputes_truncated_replication(tmp_path):
+    fresh = run_experiment(experiment_config(tmp_path / "fresh", reps=1))
+    cfg = experiment_config(tmp_path / "cut", reps=1)
+    run_experiment(cfg)
+    rep_file = tmp_path / "cut" / "replications" / "rep_0000.json"
+    rep_file.write_bytes(rep_file.read_bytes()[:40])
+    resumed = run_experiment(cfg)
+    assert resumed["max_elementwise"].ratio == fresh["max_elementwise"].ratio
+    assert read_bytes(tmp_path / "cut") == read_bytes(tmp_path / "fresh")
+    assert [p.name for p in (tmp_path / "cut" / "replications").iterdir()] == ["rep_0000.json"]
+
+
+def test_directory_as_input_reports_input_error(tmp_path, capsys):
+    code = main(["estimate", "--input", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:input:")
+    assert err.count("\n") == 1
+
+
+def test_unexpected_exception_reports_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    code = main(["simulate", "--dgp", str(write_dgp(tmp_path)), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error:internal: RuntimeError: boom\n"
+
+
+def test_cv_flags_win_over_fixed_values_in_estimate_and_forecast(tmp_path, monkeypatch):
+    (tmp_path / "x.csv").write_text(
+        "a,b\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(30)) + "\n"
+    )
+    seen = []
+
+    def capture(x, opts):
+        seen.append(opts)
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(cli, "fit", capture)
+    monkeypatch.setattr(cli, "rolling_forecast", capture)
+    flags = ["--input", str(tmp_path / "x.csv"), "--tau", "2", "--tau-cv",
+             "--lambda", "0.1", "--lambda-cv", "--out", str(tmp_path / "o")]
+    main(["estimate", *flags])
+    main(["forecast", "--window", "20", *flags])
+    assert [(o.tau, o.lam) for o in seen] == [("cv", "cv"), ("cv", "cv")]
+
+
+def test_removed_flags_report_usage_error(tmp_path, capsys):
+    dgp = str(write_dgp(tmp_path))
+    assert main(["--threads", "2", "simulate", "--dgp", dgp, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:usage:")
+    assert main(["forecast", "--input", "x.csv", "--cv-lags", "1", "--out", "o"]) == 2
+    assert capsys.readouterr().err.startswith("error:usage:")
+
+
+def test_manifests_carry_no_thread_count(tmp_path):
+    dgp = write_dgp(tmp_path, n=40, p=3)
+    main(["simulate", "--dgp", str(dgp), "--seed", "1", "--out", str(tmp_path / "sim")])
+    main(["estimate", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
+          "--tau", "inf", "--lambda", "0.1", "--out", str(tmp_path / "est")])
+    for run in ("sim", "est"):
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        assert "threads" not in manifest
+        assert "threads" not in manifest["config"]

@@ -106,6 +106,16 @@ def test_rolling_forecast_single_origin_at_boundary():
     np.testing.assert_array_equal(run.realized[0], panel.values[40])
 
 
+def test_origins_are_read_only_row_indices():
+    rng = np.random.default_rng(5)
+    panel = PanelSeries.from_values(rng.standard_normal((44, 3)))
+    opts = ForecastOptions(window=40, horizon=1, d=1, r=0, tau=math.inf, lam=0.1)
+    run = rolling_forecast(panel, opts)
+    assert run.origins.dtype.kind == "i"
+    assert not run.origins.flags.writeable
+    np.testing.assert_array_equal(panel.values[run.origins + 1], run.realized)
+
+
 def test_combined_forecast_identity_per_origin():
     rng = np.random.default_rng(11)
     panel = PanelSeries.from_values(rng.standard_normal((55, 4)))

@@ -10,21 +10,22 @@ from reference_impls import loop_autocov, loop_gram, loop_max_abs_diff
 
 def test_autocov_zero_panel():
     panel = PanelSeries.from_values(np.zeros((10, 3)))
-    np.testing.assert_array_equal(autocov(panel, 2).matrix, np.zeros((3, 3)))
+    np.testing.assert_array_equal(autocov(panel, 2), np.zeros((3, 3)))
 
 
 def test_autocov_hand_example():
     panel = PanelSeries.from_values(np.array([[1.0], [2.0], [3.0]]))
     moment = autocov(panel, 1)
-    assert moment.matrix[0, 0] == (1 * 2 + 2 * 3) / 2
-    assert moment.divisor == 2
-    assert moment.lag == 1
+    assert moment.shape == (1, 1)
+    assert moment[0, 0] == (1 * 2 + 2 * 3) / 2  # divisor n - h = 2
+    # a plain array gives the same moment as the panel holding it
+    np.testing.assert_array_equal(autocov(panel.values, 1), moment)
 
 
 def test_autocov_matches_triple_loop():
     rng = np.random.default_rng(3)
     panel = PanelSeries.from_values(rng.standard_normal((20, 3)))
-    got = autocov(panel, 2).matrix
+    got = autocov(panel, 2)
     np.testing.assert_allclose(got, loop_autocov(panel.values, 2), rtol=0, atol=1e-12)
 
 
@@ -37,7 +38,7 @@ def test_autocov_lag_out_of_range():
 def test_autocov_lag0_symmetric_psd():
     rng = np.random.default_rng(4)
     panel = PanelSeries.from_values(rng.standard_normal((25, 4)))
-    m = autocov(panel, 0).matrix
+    m = autocov(panel, 0)
     np.testing.assert_allclose(m, m.T, atol=1e-12)
     assert np.linalg.eigvalsh(m).min() >= -1e-10
 
@@ -46,8 +47,8 @@ def test_autocov_quadratic_in_scale():
     rng = np.random.default_rng(5)
     values = rng.standard_normal((15, 3))
     for h in (0, 1, 3):
-        base = autocov(PanelSeries.from_values(values), h).matrix
-        scaled = autocov(PanelSeries.from_values(2.5 * values), h).matrix
+        base = autocov(PanelSeries.from_values(values), h)
+        scaled = autocov(PanelSeries.from_values(2.5 * values), h)
         np.testing.assert_allclose(scaled, 2.5**2 * base, rtol=1e-12)
 
 
@@ -80,7 +81,7 @@ def test_build_gram_top_left_block_equals_autocov_after_divisor_match():
     gram = build_gram(values, d=1)
     # d = 1: the design is rows 1..n-1, so the divisors already agree
     block = gram.Gamma[:3, :3]
-    reference = autocov(PanelSeries.from_values(values[:-1]), 0).matrix
+    reference = autocov(PanelSeries.from_values(values[:-1]), 0)
     np.testing.assert_allclose(block, reference, rtol=0, atol=1e-12)
 
 

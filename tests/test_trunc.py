@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from favar.moments import autocov_matrix
+from favar.moments import autocov
 from favar.panel import PanelSeries, ScaleVector, mad_scales
 from favar.trunc import TauGrid, TruncationRule, build_tau_grid, cv_tau, truncate
 
@@ -138,7 +138,7 @@ def test_cv_tau_no_clipping_at_grid_max_reproduces_plain_moments():
     np.testing.assert_array_equal(clipped, panel.values)
     for h in (0, 1, 2):
         np.testing.assert_array_equal(
-            autocov_matrix(clipped[:15], h), autocov_matrix(panel.values[:15], h)
+            autocov(clipped[:15], h), autocov(panel.values[:15], h)
         )
 
 
