@@ -236,8 +236,14 @@ def _cell_fingerprint(cfg: ExperimentConfig) -> dict:
 
     ``reps``, ``out`` and ``threads`` are left out: a cell may be extended
     with more replications or moved without invalidating finished ones.
+    ``dgp.seed`` is left out because each replication draws with a seed
+    derived from ``seed``, and ``dgp.nu`` unless the innovations are
+    Student-t, the only law that reads it.
     """
     fields = {f"dgp.{k}": v for k, v in asdict(cfg.dgp).items()}
+    del fields["dgp.seed"]
+    if cfg.dgp.innovation != "student_t":
+        del fields["dgp.nu"]
     fields.update(
         seed=cfg.seed, d=cfg.d, norms=list(cfg.norms), tau=cfg.tau,
         tau_grid_size=cfg.tau_grid_size, cv_lags=cfg.cv_lags,

@@ -143,7 +143,7 @@ def _refine_columns(Gamma, gamma, B, Q, lam, cols):
         signs = np.sign(beta[active])
         z = None
         for _ in range(6):
-            system = Gamma[active[:, None], active]
+            system = Gamma[np.ix_(active, active)]
             rhs = gamma[active, j] - half * signs
             try:
                 z = np.linalg.solve(system, rhs)
@@ -217,27 +217,17 @@ def _cd_solve(
     iters = np.zeros(m, dtype=int)
     prev_obj = _objectives(Gamma, gamma, B, lam, Q) if check_objective else None
     for sweep in range(1, max_iter + 1):
-        # sweep only the unfinished columns; they are copied out unless they are all
-        cols = np.flatnonzero(remaining)
-        whole = cols.size == m
-        Bs, Qs, gs = (B, Q, gamma) if whole else (B[:, cols], Q[:, cols], gamma[:, cols])
-        md = np.zeros(cols.size)
+        maxdelta = np.zeros(m)
         for k in sequence:
             dk = diag[k]
-            bk = Bs[k]
-            rk = gs[k] - (Qs[k] - dk * bk)
-            delta = _soft(rk, half) / dk - bk
-            changed = delta.nonzero()[0]
+            rk = gamma[k] - (Q[k] - dk * B[k])
+            delta = _soft(rk, half) / dk - B[k]
+            delta[~remaining] = 0.0
+            changed = np.flatnonzero(delta)
             if changed.size:
-                dc = delta[changed]
-                bk[changed] += dc
-                Qs[:, changed] += Gamma[:, k, None] * dc
-                np.maximum(md, np.abs(delta), out=md)
-        if not whole:
-            B[:, cols] = Bs
-            Q[:, cols] = Qs
-        maxdelta = np.zeros(m)
-        maxdelta[cols] = md
+                B[k, changed] += delta[changed]
+                Q[:, changed] += np.outer(Gamma[:, k], delta[changed])
+                maxdelta[changed] = np.maximum(maxdelta[changed], np.abs(delta[changed]))
         if check_objective:
             obj = _objectives(Gamma, gamma, B, lam, Q)
             slack = 1e-10 * (1.0 + np.abs(prev_obj))

@@ -1,16 +1,10 @@
 """Test-session hooks shared by every test module."""
 
 
-def _minutes(item) -> float:
-    return item.get_closest_marker("slow").kwargs.get("minutes", 0.0)
-
-
 def pytest_collection_modifyitems(items):
-    """Run the ``slow`` tests after all others, the cheapest first.
+    """Run the ``slow`` tests after all others, in collection order.
 
     The quick tests then report within a minute, and a run stopped by a time
     limit loses the fewest results. Nothing is deselected.
     """
-    quick = [item for item in items if item.get_closest_marker("slow") is None]
-    slow = [item for item in items if item.get_closest_marker("slow") is not None]
-    items[:] = quick + sorted(slow, key=_minutes)
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)

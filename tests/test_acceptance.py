@@ -140,7 +140,7 @@ def test_criterion_03_factor_invariants_and_eigen_growth():
                 f"{means[50] / means[25]:.2f}, {means[100] / means[50]:.2f}")
 
 
-@pytest.mark.slow(minutes=7)
+@pytest.mark.slow
 def test_criterion_04_scaled_table_reproduction(tmp_path):
     start = time.time()
     cells = {
@@ -179,7 +179,7 @@ def test_criterion_04_scaled_table_reproduction(tmp_path):
                 f"normal = {ratios['gaussian']:.3f} ({elapsed / 60:.1f} min)")
 
 
-@pytest.mark.slow(minutes=3)
+@pytest.mark.slow
 def test_criterion_05_heavy_tail_dominance():
     wins = 0
     for seed in range(20):

@@ -246,6 +246,10 @@ def test_run_experiment_refuses_directory_of_another_configuration(tmp_path):
     cfg = experiment_config(out, reps=1)
     run_experiment(cfg)
     before = read_bytes(out)
+    # settings no replication reads are not part of the fingerprint
+    unread = replace(cfg, dgp=replace(cfg.dgp, seed=99, nu=5.0))
+    assert run_experiment(unread)["max_elementwise"].ratio == run_experiment(cfg)["max_elementwise"].ratio
+    assert read_bytes(out) == before
     changed = replace(cfg, reps=2, dgp=replace(cfg.dgp, innovation="student_t", nu=2.1))
     with pytest.raises(ValueError, match="dgp.innovation"):
         run_experiment(changed)

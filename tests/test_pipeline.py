@@ -91,7 +91,7 @@ def test_options_validation():
         FitOptions(lam="bogus")
 
 
-@pytest.mark.slow(minutes=2)
+@pytest.mark.slow
 def test_factor_var_gaussian_coefficient_error_is_controlled():
     hits = 0
     for seed in range(20):
