@@ -325,19 +325,8 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev
                     f"{norm},{rep.numerator:.17g},{rep.denominator:.17g},"
                     f"{rep.ratio:.17g},{rep.count}\n"
                 )
-        config_snapshot = {
-            "dgp": asdict(cfg.dgp),
-            "reps": cfg.reps,
-            "seed": cfg.seed,
-            "d": cfg.d,
-            "norms": list(cfg.norms),
-            "tau_grid_size": cfg.tau_grid_size,
-            "cv_lags": cfg.cv_lags,
-            "n_lambda": cfg.n_lambda,
-            "n_folds": cfg.n_folds,
-        }
         files = ["rme.csv"] + [f"replications/rep_{i:04d}.json" for i in range(cfg.reps)]
-        _manifest(out, "experiment", config_snapshot, files)
+        _manifest(out, "experiment", {**fingerprint, "reps": cfg.reps}, files)
     return reports
 
 
@@ -501,12 +490,7 @@ def cmd_forecast(args) -> int:
         {
             "input": str(args.input),
             "no_header": args.no_header,
-            "window": args.window,
-            "horizon": args.horizon,
-            "order": args.order,
-            "factors": args.factors,
-            "tau": tau,
-            "fixed_tau": args.fixed_tau,
+            **asdict(opts),
             "baseline": args.baseline,
         },
         files,

@@ -78,6 +78,24 @@ def lasso_objective(Gamma, gamma_col, beta, lam):
     return float(beta @ Gamma @ beta - 2.0 * beta @ gamma_col + lam * np.abs(beta).sum())
 
 
+def loop_kkt_gap(Gamma, gamma_col, beta, lam):
+    """Worst subgradient-condition violation, one coordinate at a time."""
+    worst = 0.0
+    for k in range(beta.shape[0]):
+        grad = 0.0
+        for m in range(beta.shape[0]):
+            grad += Gamma[k, m] * beta[m]
+        grad = 2.0 * (grad - gamma_col[k])
+        if beta[k] > 0.0:
+            violation = abs(grad + lam)
+        elif beta[k] < 0.0:
+            violation = abs(grad - lam)
+        else:
+            violation = max(abs(grad) - lam, 0.0)
+        worst = max(worst, violation)
+    return worst
+
+
 def proximal_gradient_lasso(Gamma, gamma_col, lam, n_iter=200_000, tol=1e-14):
     """ISTA on the Gram-form objective; independent of coordinate descent."""
     step = 1.0 / (2.0 * np.linalg.eigvalsh(Gamma).max())

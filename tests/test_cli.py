@@ -105,6 +105,32 @@ def test_estimate_manifest_replays_identically(tmp_path):
     assert first_files == second_files
 
 
+def test_forecast_manifest_replays_identically(tmp_path):
+    dgp = write_dgp(tmp_path, n=66, p=4)
+    main(["simulate", "--dgp", str(dgp), "--reps", "1", "--seed", "4", "--out",
+          str(tmp_path / "sim")])
+    first = tmp_path / "fc1"
+    main(["forecast", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
+          "--window", "60", "--r", "0", "--tau-grid-size", "8", "--n-lambda", "6",
+          "--folds", "3", "--out", str(first)])
+    cfg = json.loads((first / "manifest.json").read_text())["config"]
+    second = tmp_path / "fc2"
+    argv = [
+        "forecast", "--input", cfg["input"], "--window", str(cfg["window"]),
+        "--horizon", str(cfg["horizon"]), "--order", str(cfg["d"]), "--r", str(cfg["r"]),
+        "--r-max", str(cfg["r_max"]), "--tau-grid-size", str(cfg["tau_grid_size"]),
+        "--n-lambda", str(cfg["n_lambda"]), "--folds", str(cfg["n_folds"]),
+        "--out", str(second),
+    ]
+    argv += ["--tau-cv"] if cfg["tau"] == "cv" else ["--tau", format(cfg["tau"], ".17g")]
+    argv += ["--lambda-cv"] if cfg["lam"] == "cv" else ["--lambda", format(cfg["lam"], ".17g")]
+    argv += ["--reselect-r"] * cfg["reselect_r"] + ["--fixed-tau"] * (not cfg["reselect_tau"])
+    argv += ["--no-header"] * cfg["no_header"] + ["--baseline"] * cfg["baseline"]
+    assert main(argv) == 0
+    for name in ("forecasts.csv", "fe.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_cv_tau_subcommand(tmp_path, capsys):
     dgp = write_dgp(tmp_path, innovation="student_t", nu=2.1, n=100, p=5)
     main(["simulate", "--dgp", str(dgp), "--reps", "1", "--seed", "2", "--out",
@@ -219,6 +245,18 @@ def test_run_experiment_identical_arms_give_unit_rme(tmp_path):
     assert reports["max_elementwise"].ratio == 1.0
     rep_files = sorted((tmp_path / "exp" / "replications").glob("rep_*.json"))
     assert len(rep_files) == 1
+
+
+def test_experiment_manifest_records_every_cell_setting(tmp_path):
+    configs = {}
+    for tau in ("cv", math.inf):
+        out = tmp_path / f"tau_{tau}"
+        run_experiment(experiment_config(out, reps=1, tau=tau))
+        configs[tau] = json.loads((out / "manifest.json").read_text())["config"]
+        rep = json.loads((out / "replications" / "rep_0000.json").read_text())
+        assert configs[tau] == {**rep["config"], "reps": 1}
+    assert configs["cv"]["tau"] == "cv"
+    assert configs[math.inf]["tau"] == math.inf
 
 
 def test_run_experiment_resumes_and_matches_fresh_run(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from favar.factors import fit_factors
 from favar.moments import GramSystem, build_gram
 from favar.simulate import DgpSpec, simulate_panel
 from favar.varlasso import (
@@ -11,7 +12,7 @@ from favar.varlasso import (
     lasso_row,
 )
 
-from reference_impls import lasso_objective, proximal_gradient_lasso
+from reference_impls import lasso_objective, loop_kkt_gap, proximal_gradient_lasso
 
 
 def random_gram(seed, p=4, d=1, n=200):
@@ -45,6 +46,32 @@ def test_matches_proximal_gradient_objective():
         theirs = lasso_objective(gram.Gamma, gram.gamma[:, j], reference, lam)
         assert abs(ours - theirs) < 1e-8
         assert kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam) <= 10 * 1e-9
+
+
+def test_kkt_gap_matches_loop_reference():
+    gram = random_gram(14, p=4, d=2, n=120)  # pd = 8
+    rng = np.random.default_rng(14)
+    for lam in (0.0, 0.05, 0.5):
+        for j in range(gram.p):
+            draw = rng.standard_normal(8) * (rng.random(8) < 0.5)
+            draw[0], draw[1] = 0.0, 0.3  # zero and nonzero entries in every draw
+            for beta in (draw, lasso_row(gram, j, lam)):
+                ours = kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam)
+                reference = loop_kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam)
+                assert ours == pytest.approx(reference, rel=1e-9, abs=1e-14)
+
+
+def test_kkt_certificate_alone_stops_solver_on_singular_factor_gram():
+    # the factor-adjusted Gram matrix has r = 3 zero eigenvalues. This row's
+    # gap is certified at sweep 368; a sweep-delta test ran on to sweep 389
+    # while the coordinates drifted, mostly along the null space
+    spec = DgpSpec(n=200, p=30, var_design="banded", innovation="student_t", nu=2.1,
+                   factor_design="var1_factors", r=3, seed=1)
+    gram = build_gram(fit_factors(simulate_panel(spec).x, 3).idio, 1)
+    assert np.linalg.eigvalsh(gram.Gamma)[2] < 1e-12
+    beta = lasso_row(gram, 24, 0.002, max_iter=380)
+    assert kkt_gap(gram.Gamma, gram.gamma[:, 24], beta, 0.002) <= 10 * 1e-7
+    assert np.count_nonzero(beta) > 0
 
 
 def test_kkt_certificate_holds_at_default_tolerance():
@@ -183,4 +210,7 @@ def test_convergence_error_carries_iterate_and_gap():
     err = exc_info.value
     assert err.beta.shape == (6, 1)
     assert err.kkt_gap > 0.0
+    assert err.kkt_gap == pytest.approx(
+        kkt_gap(gram.Gamma, gram.gamma[:, 0], err.beta[:, 0], 0.001), rel=1e-12
+    )
     assert np.max(err.iterations) == 1
