@@ -4,9 +4,12 @@ Each tree runs one round of every workload in ``favarbench/workloads.py`` in
 a process of its own, with every ``fit`` it makes captured. The two runs are
 then matched fit by fit: the final coefficients must be bit-identical, and
 the sweep counts and every tuning choice (tau, lambda, r and the chosen grid
-indices) equal. Also printed: the sweeps the lambda-CV path solves took (a
-path solve's count is that of its slowest row problem) and the largest
-relative difference between the two trees' lambda-CV fold scores.
+indices) equal. The outputs built from the fits must be bit-identical too:
+the origins, truncation levels and forecasts of the rolling forecast, and
+the RME ratios of the experiment cell. Also printed: the sweeps the
+lambda-CV path solves took (a path solve's count is that of its slowest row
+problem) and the largest relative difference between the two trees'
+lambda-CV fold scores.
 
     python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--seed 1]
 
@@ -30,7 +33,7 @@ BENCH = Path(__file__).resolve().parent.parent / "favarbench"
 
 
 def collect(seed: int) -> dict:
-    """Run one round of each workload; return its fits and path sweeps."""
+    """Run one round of each workload; return its fits, outputs and path sweeps."""
     sys.path.insert(0, str(BENCH))
     import favar
     import favar.cli
@@ -66,6 +69,7 @@ def collect(seed: int) -> dict:
                 raise RuntimeError(f"{name}: {rnd.errors}")
             result[name] = {
                 "path_sweeps": path_sweeps[0],
+                "outputs": outputs(name, rnd),
                 "fits": [
                     {
                         "A": f.var.A.copy(),
@@ -86,6 +90,16 @@ def collect(seed: int) -> dict:
                 ],
             }
     return result
+
+
+def outputs(name: str, rnd) -> dict:
+    """The workload results beyond single fits, as arrays to compare exactly."""
+    if name == "forecast-rolling":
+        run = rnd.outputs[0][1]
+        return {key: getattr(run, key).copy() for key in ("origins", "taus", "forecasts")}
+    if name == "rme-cell":
+        return {f"rme {norm}": np.float64(ratio) for norm, ratio in rnd.outputs[0][1].items()}
+    return {}
 
 
 def run_tree(src: str, seed: int) -> dict:
@@ -120,6 +134,11 @@ def compare(old: dict, new: dict) -> list[str]:
             if a["fold_scores"] is not None:
                 rel = np.abs(b["fold_scores"] - a["fold_scores"]) / np.abs(a["fold_scores"])
                 worst = max(worst, float(rel.max()))
+        for key, a in o["outputs"].items():
+            if not np.array_equal(a, n["outputs"].get(key)):
+                problems.append(f"{name}: {key} differs")
+        if o["outputs"]:
+            print(f"{name}: compared {', '.join(o['outputs'])}")
         print(
             f"{name}: {len(o['fits'])} fits; path sweeps {o['path_sweeps']} -> "
             f"{n['path_sweeps']}; largest relative fold-score difference {worst:.2e}"

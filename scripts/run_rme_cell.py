@@ -50,14 +50,17 @@ def main() -> int:
         parser.error(f"unknown config keys: {sorted(unknown)}")
     dgp = DgpSpec(seed=0, **{k: v for k, v in raw.items() if k in DGP_KEYS})
     est = {k: v for k, v in raw.items() if k in EST_KEYS}
-    cfg = ExperimentConfig(
-        dgp=dgp,
-        reps=args.reps,
-        seed=args.seed,
-        norms=tuple(args.norms.split(",")),
-        out=Path(args.out),
-        **est,
-    )
+    try:
+        cfg = ExperimentConfig(
+            dgp=dgp,
+            reps=args.reps,
+            seed=args.seed,
+            norms=tuple(args.norms.split(",")),
+            out=Path(args.out),
+            **est,
+        )
+    except ValueError as e:
+        parser.error(str(e))
     start = time.time()
     reports = run_experiment(cfg, verbose=True)
     minutes = (time.time() - start) / 60.0

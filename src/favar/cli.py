@@ -183,11 +183,14 @@ class ExperimentConfig:
     norms: tuple[str, ...] = ("max_elementwise", "l2_col_max")
     tau: float | str = "cv"
     tau_grid_size: int = 60
-    cv_lags: int | None = None
     n_lambda: int = 50
     n_folds: int = 5
     threads: int = 1
     out: Path | None = None
+
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"reps must be at least 1, got {self.reps}")
 
 
 def _true_coefficients(panel, d: int) -> np.ndarray:
@@ -202,17 +205,10 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> dict:
     spec = replace(cfg.dgp, seed=seed)
     panel = simulate_panel(spec)
     r_known = spec.r if spec.factor_design == "var1_factors" else 0
-    base = dict(
-        r=r_known,
-        d=cfg.d,
-        tau_grid_size=cfg.tau_grid_size,
-        cv_lags=cfg.cv_lags,
-        lam="cv",
-        n_lambda=cfg.n_lambda,
-        n_folds=cfg.n_folds,
-    )
-    fit_trunc = fit(panel.x, FitOptions(tau=cfg.tau, **base))
-    fit_plain = fit(panel.x, FitOptions(tau=math.inf, **base))
+    opts = FitOptions(r=r_known, d=cfg.d, tau=cfg.tau, tau_grid_size=cfg.tau_grid_size,
+                      n_lambda=cfg.n_lambda, n_folds=cfg.n_folds)
+    fit_trunc = fit(panel.x, opts)
+    fit_plain = fit(panel.x, replace(opts, tau=math.inf))
     truth = _true_coefficients(panel, cfg.d)
     errors = {
         norm: {
@@ -246,8 +242,7 @@ def _cell_fingerprint(cfg: ExperimentConfig) -> dict:
         del fields["dgp.nu"]
     fields.update(
         seed=cfg.seed, d=cfg.d, norms=list(cfg.norms), tau=cfg.tau,
-        tau_grid_size=cfg.tau_grid_size, cv_lags=cfg.cv_lags,
-        n_lambda=cfg.n_lambda, n_folds=cfg.n_folds,
+        tau_grid_size=cfg.tau_grid_size, n_lambda=cfg.n_lambda, n_folds=cfg.n_folds,
     )
     return json.loads(json.dumps(fields))
 
@@ -346,23 +341,16 @@ def _resolve_factors(value: str):
     return r
 
 
-def _tau_and_lambda(args) -> tuple[float | str, float | str]:
-    """Resolve --tau/--tau-cv and --lambda/--lambda-cv; a -cv flag wins, CV is the default."""
-    tau = "cv" if args.tau_cv or args.tau is None else float(args.tau)
-    lam = "cv" if args.lambda_cv or args.lam is None else float(args.lam)
-    return tau, lam
-
-
 def _fit_options_from_args(args) -> FitOptions:
-    tau, lam = _tau_and_lambda(args)
+    """The fit settings of estimate and forecast. For --tau/--tau-cv and
+    --lambda/--lambda-cv a -cv flag wins, and CV is the default."""
     return FitOptions(
         r=_resolve_factors(args.factors),
         r_max=args.r_max,
         d=args.d,
-        tau=tau,
+        tau="cv" if args.tau_cv or args.tau is None else float(args.tau),
         tau_grid_size=args.tau_grid_size,
-        cv_lags=args.cv_lags,
-        lam=lam,
+        lam="cv" if args.lambda_cv or args.lam is None else float(args.lam),
         n_lambda=args.n_lambda,
         n_folds=args.folds,
     )
@@ -452,20 +440,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_forecast(args) -> int:
     x = load_csv(args.input, has_header=not args.no_header)
-    tau, lam = _tau_and_lambda(args)
     opts = ForecastOptions(
+        **asdict(_fit_options_from_args(args)),
         window=args.window,
         horizon=args.horizon,
-        d=args.order,
-        r=_resolve_factors(args.factors),
-        r_max=args.r_max,
         reselect_r=args.reselect_r,
-        tau=tau,
         reselect_tau=not args.fixed_tau,
-        tau_grid_size=args.tau_grid_size,
-        lam=lam,
-        n_lambda=args.n_lambda,
-        n_folds=args.folds,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -632,12 +612,10 @@ def build_parser() -> _Parser:
     est.add_argument("--input", required=True)
     est.add_argument("--no-header", action="store_true")
     est.add_argument("--r", "--factors", dest="factors", default="0",
-                     help="factor number, or 'auto' for the information criteria")
+                     help="factor number, or 'auto' for the IC_p2 criterion")
     est.add_argument("--r-max", type=int, default=8)
     est.add_argument("--d", type=int, default=1, help="VAR order")
     _add_common_fit_flags(est)
-    est.add_argument("--cv-lags", type=int, default=None,
-                     help="lag range of the tau CV score (defaults to the VAR order)")
     est.add_argument("--out", required=True)
     est.set_defaults(func=cmd_estimate)
 
@@ -646,7 +624,7 @@ def build_parser() -> _Parser:
     fc.add_argument("--no-header", action="store_true")
     fc.add_argument("--window", type=int, default=120)
     fc.add_argument("--horizon", type=int, default=1)
-    fc.add_argument("--order", type=int, default=1, help="VAR order d")
+    fc.add_argument("--order", dest="d", type=int, default=1, help="VAR order d")
     fc.add_argument("--r", "--factors", dest="factors", default="0")
     fc.add_argument("--r-max", type=int, default=8)
     fc.add_argument("--reselect-r", action="store_true",

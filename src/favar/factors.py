@@ -40,11 +40,11 @@ class FactorFit:
 
 @dataclass(frozen=True, eq=False)
 class FactorNumberReport:
-    """Information-criterion values over k = 0..r_max and each argmin."""
+    """IC_p2 values over k = 0..r_max and their argmin."""
 
     r_max: int
-    criteria: dict[str, np.ndarray]
-    chosen: dict[str, int]
+    criterion: np.ndarray
+    chosen: int
 
 
 def _sign_fix(vecs: np.ndarray) -> np.ndarray:
@@ -98,15 +98,11 @@ def fit_factors(x_trunc: PanelSeries, r: int) -> FactorFit:
 
 
 def select_r(x_trunc: PanelSeries, r_max: int) -> FactorNumberReport:
-    """Choose the factor number with three information criteria.
+    """Choose the factor number with the IC_p2 criterion of Bai & Ng (2002).
 
-    Each criterion is log V(k) plus a penalty, where V(k) is the mean squared
-    principal-component residual using k factors; k = 0 is included so "no
-    factors" is selectable. Penalties:
-
-      icp1: k * (n+p)/(np) * log(np / (n+p))
-      icp2: k * (n+p)/(np) * log(min(n, p))
-      icp3: k * log(min(n, p)) / min(n, p)
+    The criterion is log V(k) + k * (n+p)/(np) * log(min(n, p)), where V(k)
+    is the mean squared principal-component residual using k factors; k = 0
+    is included so "no factors" is selectable.
     """
     n, p = x_trunc.n, x_trunc.p
     if not 1 <= r_max <= min(n, p) // 2:
@@ -117,15 +113,8 @@ def select_r(x_trunc: PanelSeries, r_max: int) -> FactorNumberReport:
     # V(k) = mean squared residual = (trace - sum of leading k eigenvalues) / p
     residual = total - np.concatenate([[0.0], np.cumsum(eigvals[:r_max])])
     v = np.maximum(residual / p, np.finfo(float).tiny)
-    m = min(n, p)
-    penalties = {
-        "icp1": ks * (n + p) / (n * p) * np.log(n * p / (n + p)),
-        "icp2": ks * (n + p) / (n * p) * np.log(m),
-        "icp3": ks * np.log(m) / m,
-    }
-    criteria = {name: np.log(v) + pen for name, pen in penalties.items()}
-    chosen = {name: int(np.argmin(vals)) for name, vals in criteria.items()}
-    return FactorNumberReport(r_max=r_max, criteria=criteria, chosen=chosen)
+    criterion = np.log(v) + ks * (n + p) / (n * p) * np.log(min(n, p))
+    return FactorNumberReport(r_max=r_max, criterion=criterion, chosen=int(np.argmin(criterion)))
 
 
 def project_common(fit: FactorFit, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

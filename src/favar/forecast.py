@@ -9,7 +9,7 @@ recursion, plugging in forecasts where observations are not yet available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,25 +20,17 @@ from .varlasso import VarFit
 
 
 @dataclass(frozen=True)
-class ForecastOptions:
-    """Rolling exercise configuration; estimation knobs mirror FitOptions."""
+class ForecastOptions(FitOptions):
+    """Rolling exercise configuration: every FitOptions setting, plus the
+    window, the horizon and whether r and tau are re-selected per origin."""
 
     window: int = 120
     horizon: int = 1
-    d: int = 1
-    r: int | str = 0
-    r_max: int = 8
     reselect_r: bool = False
-    tau: float | str = "cv"
     reselect_tau: bool = True
-    tau_grid_size: int = 60
-    lam: float | str = "cv"
-    n_lambda: int = 50
-    n_folds: int = 5
-    tol: float = 1e-7
-    max_iter: int = 100_000
 
     def __post_init__(self):
+        super().__post_init__()
         if self.window < self.d + 2:
             raise ValueError("window too short for the VAR order")
         if self.horizon < 1:
@@ -145,20 +137,8 @@ def rolling_forecast(x: PanelSeries, opts: ForecastOptions = ForecastOptions()) 
     skipped: list[tuple[int, str]] = []
     for t in range(T - 1, x.n - h):
         window = PanelSeries(x.values[t - T + 1 : t + 1], x.names)
-        fit_opts = FitOptions(
-            r=r_mode,
-            r_max=opts.r_max,
-            d=opts.d,
-            tau=tau_mode,
-            tau_grid_size=opts.tau_grid_size,
-            lam=opts.lam,
-            n_lambda=opts.n_lambda,
-            n_folds=opts.n_folds,
-            tol=opts.tol,
-            max_iter=opts.max_iter,
-        )
         try:
-            window_fit = fit(window, fit_opts)
+            window_fit = fit(window, replace(opts, r=r_mode, tau=tau_mode))
             xt_values = truncate(window, window_fit.rule).values
             common, idio = _window_forecast(window_fit, xt_values, h)
         except (StageError, ValueError) as e:

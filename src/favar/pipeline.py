@@ -44,7 +44,8 @@ class FitOptions:
     """Tuning knobs for one fit; strings select cross-validated choices.
 
     ``tau`` is either "cv", a fixed level on the standardised scale, or
-    ``inf`` for no truncation. ``lam`` is either "cv" or a fixed penalty.
+    ``inf`` for no truncation; its CV scores the autocovariances at lags
+    0..d. ``lam`` is either "cv" or a fixed penalty.
     ``r`` is a known factor number (0 for none) or "auto" for the
     information-criterion choice (the IC_p2 criterion).
     """
@@ -54,7 +55,6 @@ class FitOptions:
     d: int = 1
     tau: float | str = "cv"
     tau_grid_size: int = 60
-    cv_lags: int | None = None
     lam: float | str = "cv"
     n_lambda: int = 50
     n_folds: int = 5
@@ -115,7 +115,6 @@ def refit_options(config: dict) -> FitOptions:
         tau=config["tau"],
         lam=config["lambda"],
         tau_grid_size=config["tau_grid_size"],
-        cv_lags=config["cv_lags"],
         n_lambda=config["n_lambda"],
         n_folds=config["n_folds"],
         tol=config["tol"],
@@ -136,8 +135,7 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
     if opts.tau == "cv":
         with _stage("tau-cv"):
             grid = build_tau_grid(x, scales, opts.tau_grid_size)
-            lags = opts.d if opts.cv_lags is None else opts.cv_lags
-            tau_report = cv_tau(x, scales, lags, grid)
+            tau_report = cv_tau(x, scales, opts.d, grid)
             tau = tau_report.tau
     else:
         tau = float(opts.tau)
@@ -148,8 +146,7 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
 
     if opts.r == "auto":
         with _stage("factor-number"):
-            report = select_r(xt, opts.r_max)
-            r = report.chosen["icp2"]
+            r = select_r(xt, opts.r_max).chosen
     else:
         r = int(opts.r)
 
@@ -190,7 +187,6 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
         "lambda": lam,
         "lambda_source": "cv" if opts.lam == "cv" else "fixed",
         "tau_grid_size": opts.tau_grid_size,
-        "cv_lags": opts.cv_lags,
         "n_lambda": opts.n_lambda,
         "n_folds": opts.n_folds,
         "tol": opts.tol,

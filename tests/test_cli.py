@@ -294,6 +294,31 @@ def test_run_experiment_refuses_directory_of_another_configuration(tmp_path):
     assert read_bytes(out) == before
 
 
+def test_run_experiment_rejects_zero_reps_before_writing(tmp_path):
+    out = tmp_path / "cell"
+    with pytest.raises(ValueError, match="reps"):
+        run_experiment(experiment_config(out, reps=0))
+    assert not out.exists()
+
+
+def test_run_experiment_resumes_file_carrying_cv_lags(tmp_path, monkeypatch):
+    # replication files written before cv_lags was removed store it as null
+    cfg = experiment_config(tmp_path / "cell", reps=1)
+    fresh = run_experiment(cfg)["max_elementwise"].ratio
+    rep_file = tmp_path / "cell" / "replications" / "rep_0000.json"
+    record = json.loads(rep_file.read_text())
+    record["config"]["cv_lags"] = None
+    rep_file.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    before = rep_file.read_bytes()
+
+    def recompute(cfg, rep):
+        raise AssertionError("replication recomputed")
+
+    monkeypatch.setattr(cli, "_run_replication", recompute)
+    assert run_experiment(cfg)["max_elementwise"].ratio == fresh
+    assert rep_file.read_bytes() == before
+
+
 def test_run_experiment_recomputes_truncated_replication(tmp_path):
     fresh = run_experiment(experiment_config(tmp_path / "fresh", reps=1))
     cfg = experiment_config(tmp_path / "cut", reps=1)
@@ -348,6 +373,8 @@ def test_removed_flags_report_usage_error(tmp_path, capsys):
     assert main(["--threads", "2", "simulate", "--dgp", dgp, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
     assert main(["forecast", "--input", "x.csv", "--cv-lags", "1", "--out", "o"]) == 2
+    assert capsys.readouterr().err.startswith("error:usage:")
+    assert main(["estimate", "--input", "x.csv", "--cv-lags", "2", "--out", "o"]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
 
 

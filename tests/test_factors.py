@@ -97,7 +97,7 @@ def test_select_r_pure_noise_prefers_few_factors():
     for seed in range(50):
         spec = DgpSpec(n=100, p=100, var_design="none", factor_design="none", seed=seed)
         report = select_r(simulate_panel(spec).x, 8)
-        if all(k <= 2 for k in report.chosen.values()):
+        if report.chosen <= 2:
             hits += 1
     assert hits >= 45
 
@@ -109,15 +109,15 @@ def test_select_r_strong_three_factor_structure():
             n=200, p=100, var_design="none", factor_design="var1_factors", r=3, seed=seed
         )
         report = select_r(simulate_panel(spec).x, 8)
-        if all(k == 3 for k in report.chosen.values()):
+        if report.chosen == 3:
             hits += 1
     assert hits >= 45
 
 
 def test_select_r_rmax_one():
     report = select_r(random_panel(4, n=30, p=10), 1)
-    assert set(report.chosen.values()) <= {0, 1}
-    assert all(vals.shape == (2,) for vals in report.criteria.values())
+    assert report.chosen in {0, 1}
+    assert report.criterion.shape == (2,)
 
 
 def test_select_r_rmax_validated():

@@ -97,6 +97,17 @@ def test_forecast_idio_needs_enough_lags():
         forecast_idio(var, np.ones((1, 3)), h=1)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [({"tau": "bogus"}, "tau"), ({"lam": -0.5}, "lambda"), ({"r": -2}, "r must"),
+     ({"d": 0}, "order")],
+    ids=["tau", "lam", "r", "d"],
+)
+def test_forecast_options_validate_fit_settings(bad, message):
+    with pytest.raises(ValueError, match=message):
+        ForecastOptions(**bad)
+
+
 def test_rolling_forecast_single_origin_at_boundary():
     rng = np.random.default_rng(5)
     panel = PanelSeries.from_values(rng.standard_normal((41, 3)))
