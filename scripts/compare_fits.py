@@ -6,10 +6,10 @@ then matched fit by fit: the final coefficients must be bit-identical, and
 the sweep counts and every tuning choice (tau, lambda, r and the chosen grid
 indices) equal. The outputs built from the fits must be bit-identical too:
 the origins, truncation levels and forecasts of the rolling forecast, and
-the RME ratios of the experiment cell. Also printed: the sweeps the
-lambda-CV path solves took (a path solve's count is that of its slowest row
-problem) and the largest relative difference between the two trees'
-lambda-CV fold scores.
+the RME ratios of the experiment cell. Also printed: the knots the lambda-CV
+paths walked, summed over folds and row problems (``-`` for a tree whose
+``LambdaCvReport`` has no ``knots``), and the largest relative difference
+between the two trees' lambda-CV fold scores.
 
     python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--seed 1]
 
@@ -33,42 +33,37 @@ BENCH = Path(__file__).resolve().parent.parent / "favarbench"
 
 
 def collect(seed: int) -> dict:
-    """Run one round of each workload; return its fits, outputs and path sweeps."""
+    """Run one round of each workload; return its fits, outputs and path knots."""
     sys.path.insert(0, str(BENCH))
     import favar
     import favar.cli
     import favar.forecast
-    import favar.varlasso as vl
     import workloads
 
-    fits, path_sweeps = [], [0]
-    fit, solve = favar.pipeline.fit, vl._cd_solve
+    fits = []
+    fit = favar.pipeline.fit
 
     def capturing_fit(*args, **kwargs):
         out = fit(*args, **kwargs)
         fits.append(out)
         return out
 
-    def counting_solve(*args, **kwargs):
-        B, iters = solve(*args, **kwargs)
-        if kwargs.get("beta0") is not None:  # only cv_lambda warm-starts
-            path_sweeps[0] += int(iters.max(initial=0))
-        return B, iters
-
     for module in (favar, favar.forecast, favar.cli):
         module.fit = capturing_fit
-    vl._cd_solve = counting_solve
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.NAMES:
             fits.clear()
-            path_sweeps[0] = 0
             w = workloads.make(name)
             rnd = w.run_round(w.make_inputs(seed), Path(tmp))
             if rnd.failed:
                 raise RuntimeError(f"{name}: {rnd.errors}")
+            reports = [f.lambda_report for f in fits if f.lambda_report is not None]
+            knots = [getattr(rep, "knots", None) for rep in reports]
             result[name] = {
-                "path_sweeps": path_sweeps[0],
+                "path_knots": (
+                    "-" if any(k is None for k in knots) else int(sum(k.sum() for k in knots))
+                ),
                 "outputs": outputs(name, rnd),
                 "fits": [
                     {
@@ -140,8 +135,8 @@ def compare(old: dict, new: dict) -> list[str]:
         if o["outputs"]:
             print(f"{name}: compared {', '.join(o['outputs'])}")
         print(
-            f"{name}: {len(o['fits'])} fits; path sweeps {o['path_sweeps']} -> "
-            f"{n['path_sweeps']}; largest relative fold-score difference {worst:.2e}"
+            f"{name}: {len(o['fits'])} fits; path knots {o['path_knots']} -> "
+            f"{n['path_knots']}; largest relative fold-score difference {worst:.2e}"
         )
         for i, f in enumerate(n["fits"]):
             print(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evaluate as ev
 from ._rng import derive_seed
-from .forecast import ForecastOptions, rolling_forecast
+from .forecast import ForecastOptions, align_origins, rolling_forecast
 from .panel import load_csv, mad_scales, write_csv
 from .pipeline import FitOptions, StageError, fit
 from .simulate import DgpSpec, simulate_panel
@@ -451,19 +451,24 @@ def cmd_forecast(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     files = []
 
-    def emit(run, suffix=""):
+    def emit(run, rows, suffix=""):
         header = ["origin", *x.names]
-        fc = np.column_stack([run.origins, run.forecasts])
-        fe = np.column_stack([run.origins, run.errors()])
+        fc = np.column_stack([run.origins[rows], run.forecasts[rows]])
+        fe = np.column_stack([run.origins[rows], run.errors()[rows]])
         _write_matrix(out / f"forecasts{suffix}.csv", fc, header)
         _write_matrix(out / f"fe{suffix}.csv", fe, header)
         files.extend([f"forecasts{suffix}.csv", f"fe{suffix}.csv"])
 
     run = rolling_forecast(x, opts)
-    emit(run)
     if args.baseline:
-        base_opts = replace(opts, tau=math.inf)
-        emit(rolling_forecast(x, base_opts), suffix="_baseline")
+        # both runs are written on the origins they share, so their error
+        # files pair row by row
+        base = rolling_forecast(x, replace(opts, tau=math.inf))
+        rows, base_rows = align_origins(run, base)
+        emit(run, rows)
+        emit(base, base_rows, suffix="_baseline")
+    else:
+        emit(run, slice(None))
     _manifest(
         out,
         "forecast",

@@ -47,7 +47,10 @@ class FitOptions:
     ``inf`` for no truncation; its CV scores the autocovariances at lags
     0..d. ``lam`` is either "cv" or a fixed penalty.
     ``r`` is a known factor number (0 for none) or "auto" for the
-    information-criterion choice (the IC_p2 criterion).
+    information-criterion choice (the IC_p2 criterion). ``max_iter`` bounds
+    both the final lasso's coordinate-descent sweeps and the knots each
+    lambda-CV path walks; the final lasso stops at a KKT gap of at most
+    ``10 * tol``.
     """
 
     r: int | str = 0
@@ -169,7 +172,6 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
                 opts.d,
                 n_lambda=opts.n_lambda,
                 n_folds=opts.n_folds,
-                tol=opts.tol,
                 max_iter=opts.max_iter,
             )
             lam = lambda_report.lam

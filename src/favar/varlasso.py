@@ -1,15 +1,23 @@
 """Row-wise l1-penalised least squares on the Gram system, with CV for lambda.
 
-Each row problem minimises  b' Gamma b - 2 b' gamma_j + lambda |b|_1  by
-cyclic coordinate descent. Because the smooth part carries no 1/2, its
-gradient is 2(Gamma b - gamma_j) and the soft threshold sits at lambda / 2;
-keeping that factor explicit here avoids the classic off-by-two.
+Each row problem minimises  b' Gamma b - 2 b' gamma_j + lambda |b|_1.
+Because the smooth part carries no 1/2, its gradient is 2(Gamma b - gamma_j)
+and the soft threshold sits at mu = lambda / 2; keeping that factor explicit
+here avoids the classic off-by-two.
 
-One rule stops the solver: a problem is finished at the first sweep where
-its first-order optimality (KKT) gap is at most ``10 * tol``. The gap is a
+``fit_var`` solves at one penalty by cyclic coordinate descent. One rule
+stops it: a problem is finished at the first sweep where its first-order
+optimality (KKT) gap is at most ``10 * tol``. The gap is a
 solver-independent certificate; sweep-to-sweep coordinate changes are not
 one, since on a singular Gram matrix coordinates can drift along its null
 space while the fit and the gap stay put.
+
+``cv_lambda`` needs every grid penalty on every fold, so it walks each
+problem's exact solution path instead (Osborne, Presnell & Turlach 2000;
+Efron et al. 2004). Between knots the solution is linear in mu,
+b_A(mu) = Gamma_AA^-1 (gamma_A - mu s_A) on the active set A with signs
+s_A; a knot is where a coordinate joins (its residual correlation
+|gamma_k - Gamma_k b| reaches mu) or leaves (its coefficient reaches 0).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .panel import _frozen
 
 
 class ConvergenceError(RuntimeError):
-    """Sweep budget exhausted; carries the last iterate and its KKT gap."""
+    """Sweep or knot budget exhausted; carries the last iterate and its KKT gap."""
 
     def __init__(self, message, beta, kkt_gap, iterations):
         super().__init__(message)
@@ -64,7 +72,8 @@ class LambdaCvReport:
 
     ``chosen`` minimises the mean validation score; ``one_se`` is the largest
     penalty whose score stays within one standard error of that minimum, the
-    familiar sparser selection rule.
+    familiar sparser selection rule. ``knots`` counts the knots each fold's
+    row problems walked down their solution paths.
     """
 
     grid: np.ndarray
@@ -72,11 +81,13 @@ class LambdaCvReport:
     mean_scores: np.ndarray
     chosen: int
     one_se: int
+    knots: np.ndarray              # n_folds x p
 
     def __post_init__(self):
         object.__setattr__(self, "grid", _frozen(self.grid))
         object.__setattr__(self, "fold_scores", _frozen(self.fold_scores))
         object.__setattr__(self, "mean_scores", _frozen(self.mean_scores))
+        object.__setattr__(self, "knots", _frozen(self.knots, dtype=int))
 
     @property
     def lam(self) -> float:
@@ -172,13 +183,29 @@ def _refine_columns(Gamma, gamma, B, Q, lam, cols):
         Q[:, j] = Gamma_cols @ z
 
 
+def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Mask of the coordinates with a positive diagonal entry.
+
+    A dead coordinate (zero diagonal) stays at zero; it must carry no signal,
+    or its problem is unbounded.
+    """
+    live = np.diag(Gamma) > 0.0
+    offending = np.argwhere(gamma[~live] != 0.0)
+    if offending.size:
+        k = int(np.flatnonzero(~live)[offending[0, 0]])
+        raise ValueError(
+            f"Gamma[{k},{k}] = 0 but gamma[{k},{int(offending[0, 1])}] != 0: "
+            "coordinate problem is unbounded"
+        )
+    return live
+
+
 def _cd_solve(
     Gamma: np.ndarray,
     gamma: np.ndarray,
     lam: float,
     tol: float,
     max_iter: int,
-    beta0: np.ndarray | None = None,
     order: str = "forward",
     check_objective: bool = False,
 ):
@@ -195,22 +222,14 @@ def _cd_solve(
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
     pd_, m = gamma.shape
+    live = _live_coordinates(Gamma, gamma)
     diag = np.diag(Gamma).copy()
-    dead = diag <= 0.0
-    if np.any(dead):
-        offending = np.argwhere(gamma[dead] != 0.0)
-        if offending.size:
-            k = int(np.flatnonzero(dead)[offending[0, 0]])
-            raise ValueError(
-                f"Gamma[{k},{k}] = 0 but gamma[{k},{int(offending[0, 1])}] != 0: "
-                "coordinate problem is unbounded"
-            )
-    B = np.zeros((pd_, m)) if beta0 is None else np.array(beta0, dtype=float, copy=True)
+    B = np.zeros((pd_, m))
     Q = Gamma @ B
     half = 0.5 * lam
     target_gap = 10.0 * tol
     sequence = range(pd_) if order == "forward" else range(pd_ - 1, -1, -1)
-    sequence = [k for k in sequence if not dead[k]]
+    sequence = [k for k in sequence if live[k]]
     remaining = np.ones(m, dtype=bool)
     iters = np.zeros(m, dtype=int)
     prev_obj = _objectives(Gamma, gamma, B, lam, Q) if check_objective else None
@@ -300,9 +319,160 @@ def fit_var(
 
 # lambda path depth: the grid runs down to this fraction of its largest value
 _LAMBDA_DEPTH = 1e-3
-# floor of the path solves' tol: each stops at an absolute KKT gap of at most
-# 10 * max(tol, _PATH_SOLVE_TOL), since its fit only feeds a CV score
-_PATH_SOLVE_TOL = 1e-5
+# columns whose padded active systems go to one batched solve; bounds the
+# memory of the stacked blocks
+_SOLVE_BLOCK = 16
+
+
+def _solve_blocks(M: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Batched ``solve(M, R)``; an exactly singular block gets its min-norm solution."""
+    try:
+        return np.linalg.solve(M, R)
+    except np.linalg.LinAlgError:
+        pass  # one singular block fails the whole call: solve block by block
+    out = np.empty_like(R)
+    for b, (a, r) in enumerate(zip(M, R)):
+        try:
+            out[b] = np.linalg.solve(a, r)
+        except np.linalg.LinAlgError:
+            out[b] = np.linalg.lstsq(a, r, rcond=None)[0]
+    return out
+
+
+def _active_solve(Gamma, gamma, S, cols):
+    """Solve ``Gamma_AA [u v] = [gamma_A s_A]`` for each column's active set A.
+
+    ``S`` holds the active signs (0 off A). Returns ``U`` and ``V``, pd x
+    len(cols), zero off each column's active set. The systems are stacked
+    ``_SOLVE_BLOCK`` columns at a time, in order of active-set size, and
+    padded with identity to the largest among them.
+    """
+    U = np.zeros((gamma.shape[0], cols.size))
+    V = np.zeros_like(U)
+    sizes = np.count_nonzero(S[:, cols], axis=0)
+    by_size = np.argsort(sizes, kind="stable")
+    for start in range(0, cols.size, _SOLVE_BLOCK):
+        at = by_size[start : start + _SOLVE_BLOCK]
+        block = cols[at]
+        K = int(sizes[at[-1]])
+        idx = np.argsort(S[:, block] == 0.0, axis=0, kind="stable")[:K].T  # A first
+        M = Gamma[idx[:, :, None], idx[:, None, :]]
+        R = np.stack([gamma[idx, block[:, None]], S[idx, block[:, None]]], axis=-1)
+        b, k = np.nonzero(np.arange(K) >= sizes[at, None])
+        M[b, k, :] = 0.0
+        M[b, :, k] = 0.0
+        M[b, k, k] = 1.0
+        R[b, k] = 0.0
+        sol = _solve_blocks(M, R)
+        b, k = np.nonzero(np.arange(K) < sizes[at, None])
+        U[idx[b, k], at[b]] = sol[b, k, 0]
+        V[idx[b, k], at[b]] = sol[b, k, 1]
+    return U, V
+
+
+def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: int):
+    """Walk the exact solution path of every column of ``gamma`` down to ``mu_stop``.
+
+    A generator of segments ``(cols, hi, lo, U, V)``: for mu in
+    ``[lo[i], hi[i])`` the solution of column ``cols[i]`` at lambda = 2 mu is
+    ``U[:, i] - mu * V[:, i]``. The first segment is the path head: every
+    column, ``hi = inf`` and ``lo`` its largest ``|gamma|``, above which the
+    solution is zero (``U = V = 0``). After it, every unfinished column
+    advances one knot per segment, so the segments of a column tile
+    ``[mu_stop, inf)`` with no overlap. A column finishes once its segment
+    reaches ``mu_stop``; ``ConvergenceError`` is raised if one is unfinished
+    after ``max_iter`` knots.
+
+    At a knot the correlations c(mu) = gamma - Gamma b(mu) = cu + mu cv are
+    linear too, so the next event of each coordinate has a closed form.
+    Events due at or above the current knot (ties, rounding) happen at it.
+    The coordinate that changed at a knot is barred only from undoing that
+    change there: it may still re-enter later with the opposite sign.
+    """
+    pd_, m = gamma.shape
+    live = _live_coordinates(Gamma, gamma)
+    mu = np.abs(gamma).max(axis=0, initial=0.0)
+    zeros = np.zeros((pd_, m))
+    yield np.arange(m), np.full(m, np.inf), mu.copy(), zeros, zeros
+    cols = np.flatnonzero(mu > mu_stop)
+    S = np.zeros((pd_, m))
+    last = np.abs(gamma[:, cols]).argmax(axis=0)
+    S[last, cols] = np.sign(gamma[last, cols])
+    # event kinds, in the order of the candidate stack: 0 joins at +mu, 1
+    # joins at -mu, 2 leaves. At its current knot, column j may not take
+    # event ``bar_kind[j]`` on coordinate ``bar_coord[j]``
+    bar_kind = np.full(m, 2)
+    bar_coord = np.zeros(m, dtype=int)
+    bar_coord[cols] = last
+    sigma = np.array([1.0, -1.0])[:, None, None]
+    for _ in range(max_iter):
+        if cols.size == 0:
+            return
+        U, V = _active_solve(Gamma, gamma, S, cols)
+        CU = gamma[:, cols] - Gamma @ U
+        CV = Gamma @ V
+        Sc = S[:, cols]
+        hi = mu[cols]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = 1.0 - sigma * CV
+            join = np.where(
+                (Sc == 0.0) & live[:, None] & (slope > 0.0) & (sigma * CU > 0.0),
+                sigma * CU / slope, 0.0,
+            )
+            leave = np.where((Sc * V < 0.0) & (Sc * U < 0.0), U / V, 0.0)
+        times = np.minimum(np.concatenate([join, leave[None]]), hi)
+        at = np.arange(cols.size)
+        times[bar_kind[cols], bar_coord[cols], at] = 0.0
+        times = times.reshape(3 * pd_, cols.size)
+        event = times.argmax(axis=0)
+        lo = times[event, at]
+        yield cols, hi, lo, U, V
+        go = lo > mu_stop
+        cols, kind, k = cols[go], *np.divmod(event[go], pd_)
+        old = S[k, cols]
+        S[k, cols] = np.where(kind == 2, 0.0, sigma[np.minimum(kind, 1), 0, 0])
+        bar_kind[cols] = np.where(kind == 2, (old < 0.0).astype(int), 2)
+        bar_coord[cols] = k
+        mu[cols] = lo[go]
+    if cols.size:
+        U, V = _active_solve(Gamma, gamma, S, cols)
+        B = U - mu[cols] * V
+        gaps = _kkt_gaps(2.0 * (Gamma @ B - gamma[:, cols]), B, 2.0 * mu[cols])
+        knots = np.zeros(m, dtype=int)
+        knots[cols] = max_iter
+        raise ConvergenceError(
+            f"{cols.size} of {m} lasso paths unfinished after {max_iter} knots "
+            f"(worst KKT gap {float(gaps.max()):.3e})",
+            beta=B,
+            kkt_gap=float(gaps.max()),
+            iterations=knots,
+        )
+
+
+def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
+    """``(Gamma, gamma, va_design, va_resp)`` of each contiguous time fold.
+
+    The Gram system is that of the training rows, those outside the fold;
+    the validation pairs are the fold's points with d observed lags.
+    """
+    n = values.shape[0]
+    blocks = np.array_split(np.arange(n), n_folds)
+    if any(b.size == 0 for b in blocks):
+        raise ValueError(f"{n_folds} folds over {n} observations leaves an empty fold")
+    folds = []
+    for b in blocks:
+        lo, hi = int(b[0]), int(b[-1]) + 1
+        xtx, xty, rows = _segment_gram(values, [(0, lo), (hi, n)], d)
+        if rows == 0:
+            raise ValueError("a training fold is too short to form any lagged row")
+        val_t = b[b >= d]
+        if val_t.size == 0:
+            raise ValueError("a validation fold has no point with d observed lags")
+        va_design = np.concatenate(
+            [values[val_t - ell] for ell in range(1, d + 1)], axis=1
+        )
+        folds.append((0.5 * (xtx + xtx.T) / rows, xty / rows, va_design, values[val_t]))
+    return folds
 
 
 def cv_lambda(
@@ -310,59 +480,48 @@ def cv_lambda(
     d: int,
     n_lambda: int = 50,
     n_folds: int = 5,
-    tol: float = 1e-7,
     max_iter: int = 100_000,
 ) -> LambdaCvReport:
     """Choose lambda by one-step-ahead prediction over contiguous time folds.
 
-    The path starts at the smallest lambda that zeroes the fit on the full
+    The grid starts at the smallest lambda that zeroes the fit on the full
     data and on every training fold, and decreases geometrically down to
-    ``_LAMBDA_DEPTH`` (1e-3) times that. Solutions are warm-started along the
-    path. Held-out points are predicted from the observed lags immediately
-    preceding them; the score is the mean squared prediction error.
+    ``_LAMBDA_DEPTH`` (1e-3) times that. Held-out points are predicted from
+    the observed lags immediately preceding them; the score is the mean
+    squared prediction error.
 
-    Path solves feed nothing but those validation errors, so each stops once
-    its KKT gap is at most ``10 * max(tol, 1e-5)``, an absolute bound not
-    scaled by the moment magnitude; refit at the chosen penalty with
-    ``fit_var`` (gap at most ``10 * tol``) for a certified solution.
+    Each training fold's p row problems walk their exact solution paths
+    together (``_lasso_path``), and every grid penalty is read off the
+    segment that holds it, so the scores carry no solver tolerance. At most
+    ``max_iter`` knots per path; refit at the chosen penalty with
+    ``fit_var``.
     """
     values = _values(xi_hat)
-    n, p = values.shape
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if n_lambda < 1:
         raise ValueError("need at least one lambda")
     full = build_gram(values, d)
-    blocks = np.array_split(np.arange(n), n_folds)
-    if any(b.size == 0 for b in blocks):
-        raise ValueError(f"{n_folds} folds over {n} observations leaves an empty fold")
-    folds = []
-    lam_max = 2.0 * float(np.max(np.abs(full.gamma)))
-    for b in blocks:
-        lo, hi = int(b[0]), int(b[-1]) + 1
-        xtx, xty, rows = _segment_gram(values, [(0, lo), (hi, n)], d)
-        if rows == 0:
-            raise ValueError("a training fold is too short to form any lagged row")
-        Gamma = 0.5 * (xtx + xtx.T) / rows
-        gamma = xty / rows
-        val_t = b[b >= d]
-        if val_t.size == 0:
-            raise ValueError("a validation fold has no point with d observed lags")
-        va_design = np.concatenate(
-            [values[val_t - ell] for ell in range(1, d + 1)], axis=1
-        )
-        va_resp = values[val_t]
-        folds.append((Gamma, gamma, va_design, va_resp))
-        lam_max = max(lam_max, 2.0 * float(np.max(np.abs(gamma))))
+    folds = _cv_folds(values, d, n_folds)
+    lam_max = 2.0 * max(float(np.max(np.abs(g))) for g in [full.gamma] + [f[1] for f in folds])
     grid = np.geomspace(lam_max, lam_max * _LAMBDA_DEPTH, n_lambda)
+    mu_grid = 0.5 * grid
     fold_scores = np.empty((n_folds, n_lambda))
+    knots = np.zeros((n_folds, values.shape[1]), dtype=int)
     for k, (Gamma, gamma, va_design, va_resp) in enumerate(folds):
-        B = np.zeros_like(gamma)
-        tol_fold = max(tol, _PATH_SOLVE_TOL)
-        for i, lam in enumerate(grid):
-            B, _ = _cd_solve(Gamma, gamma, float(lam), tol_fold, max_iter, beta0=B)
-            resid = va_resp - va_design @ B
-            fold_scores[k, i] = float(np.mean(resid**2))
+        sse = np.zeros(n_lambda)
+        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter):
+            knots[k, cols] += hi < np.inf
+            g, i = np.nonzero((mu_grid[:, None] >= lo) & (mu_grid[:, None] < hi))
+            if g.size:
+                # the residual at mu is r + mu q, so its SSE is quadratic in mu
+                r = va_resp[:, cols] - va_design @ U
+                q = va_design @ V
+                rr, rq, qq = np.sum(r * r, axis=0), np.sum(r * q, axis=0), np.sum(q * q, axis=0)
+                mu = mu_grid[g]
+                pair_sse = rr[i] + mu * (2.0 * rq[i] + mu * qq[i])
+                sse += np.bincount(g, weights=pair_sse, minlength=n_lambda)
+        fold_scores[k] = sse / va_resp.size
     mean_scores = fold_scores.mean(axis=0)
     chosen = int(np.argmin(mean_scores))  # first minimum, i.e. the largest lambda
     se = float(fold_scores[:, chosen].std(ddof=1) / math.sqrt(n_folds))
@@ -373,4 +532,5 @@ def cv_lambda(
         mean_scores=mean_scores,
         chosen=chosen,
         one_se=one_se,
+        knots=knots,
     )

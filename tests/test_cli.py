@@ -164,6 +164,31 @@ def test_forecast_outputs_and_baseline_alignment(tmp_path):
     assert [row.split(",")[0] for row in main_fe] == [row.split(",")[0] for row in base_fe]
 
 
+def test_forecast_baseline_written_on_shared_origins(tmp_path):
+    # a constant stretch zeroes the MAD of V1 in most windows, so the robust
+    # run skips those origins while the untruncated baseline forecasts them
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 4))
+    x[10:35, 0] = 1.0
+    np.savetxt(tmp_path / "x.csv", x, delimiter=",", header="V1,V2,V3,V4", comments="")
+    out = tmp_path / "fc"
+    code = main([
+        "forecast", "--input", str(tmp_path / "x.csv"), "--window", "30", "--r", "0",
+        "--tau-grid-size", "8", "--n-lambda", "6", "--folds", "3", "--out", str(out),
+        "--baseline",
+    ])
+    assert code == 0
+    origins = [
+        [row.split(",")[0] for row in (out / name).read_text().splitlines()[1:]]
+        for name in ("fe.csv", "fe_baseline.csv")
+    ]
+    assert origins[0] == origins[1]
+    assert 0 < len(origins[0]) < 30
+    code = main(["evaluate", "--metric", "fluctuation", "--fe-a", str(out / "fe.csv"),
+                 "--fe-b", str(out / "fe_baseline.csv")])
+    assert code == 0
+
+
 def test_evaluate_rme_formatting_contract(tmp_path, capsys):
     (tmp_path / "a.csv").write_text("0.5\n0.5\n")
     (tmp_path / "b.csv").write_text("1.0\n1.0\n")

@@ -6,6 +6,10 @@ from favar.moments import GramSystem, build_gram
 from favar.simulate import DgpSpec, simulate_panel
 from favar.varlasso import (
     ConvergenceError,
+    _LAMBDA_DEPTH,
+    _active_solve,
+    _cv_folds,
+    _lasso_path,
     cv_lambda,
     fit_var,
     kkt_gap,
@@ -18,6 +22,27 @@ from reference_impls import lasso_objective, loop_kkt_gap, proximal_gradient_las
 def random_gram(seed, p=4, d=1, n=200):
     rng = np.random.default_rng(seed)
     return build_gram(rng.standard_normal((n, p)), d)
+
+
+def path_solutions(Gamma, gamma, mu_grid, max_iter=100_000):
+    """Every column's path solution at every grid mu: len(mu_grid) x pd x m."""
+    out = np.zeros((mu_grid.size,) + gamma.shape)
+    hits = np.zeros((mu_grid.size, gamma.shape[1]), dtype=int)
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter):
+        g, i = np.nonzero((mu_grid[:, None] >= lo) & (mu_grid[:, None] < hi))
+        out[g, :, cols[i]] = (U[:, i] - mu_grid[g] * V[:, i]).T
+        np.add.at(hits, (g, cols[i]), 1)
+    assert np.all(hits == 1)  # the segments tile the grid
+    return out
+
+
+def worst_relative_kkt_gap(Gamma, gamma, mu_grid):
+    B = path_solutions(Gamma, gamma, mu_grid)
+    return max(
+        kkt_gap(Gamma, gamma[:, j], B[g, :, j], 2.0 * mu) / (2.0 * mu)
+        for g, mu in enumerate(mu_grid)
+        for j in range(gamma.shape[1])
+    )
 
 
 def test_large_lambda_kills_solution_exactly():
@@ -179,6 +204,89 @@ def test_cv_lambda_single_point_grid():
     assert report.chosen == 0
 
 
+def test_cv_lambda_path_meets_kkt_at_every_grid_lambda():
+    # the criterion 4 Gaussian design, where re-entries with the opposite
+    # sign occur along the paths
+    spec = DgpSpec(n=100, p=50, var_design="banded", factor_design="none", seed=0)
+    values = simulate_panel(spec).xi
+    report = cv_lambda(values, d=1, n_lambda=50, n_folds=5)
+    assert report.knots.shape == (5, 50) and report.knots.min() > 0
+    for Gamma, gamma, _, _ in _cv_folds(values, 1, 5):
+        assert worst_relative_kkt_gap(Gamma, gamma, 0.5 * report.grid) <= 1e-10
+
+
+def test_cv_lambda_knot_budget_raises_convergence_error():
+    rng = np.random.default_rng(15)
+    with pytest.raises(ConvergenceError, match="after 2 knots") as exc_info:
+        cv_lambda(rng.standard_normal((80, 6)), d=1, n_lambda=10, n_folds=4, max_iter=2)
+    assert exc_info.value.iterations.max() == 2
+
+
+def test_lasso_path_walks_rank_deficient_factor_gram_to_its_end():
+    # the factor-adjusted Gram matrix has rank pd - r. Walked down to the
+    # depth of the lambda-CV grid, the active sets grow to that rank and no
+    # further, so no active block turns singular
+    spec = DgpSpec(n=200, p=30, var_design="banded", innovation="student_t", nu=2.1,
+                   factor_design="var1_factors", r=3, seed=1)
+    gram = build_gram(fit_factors(simulate_panel(spec).x, 3).idio, 1)
+    mu_grid = np.max(np.abs(gram.gamma)) * np.geomspace(1.0, _LAMBDA_DEPTH, 30)
+    largest = 0
+    for cols, hi, lo, U, V in _lasso_path(gram.Gamma, gram.gamma, mu_grid[-1], 1000):
+        assert np.all(np.isfinite(U)) and np.all(np.isfinite(V))
+        largest = max(largest, int(np.count_nonzero(V, axis=0).max()))
+    assert largest == 30 - 3
+    assert worst_relative_kkt_gap(gram.Gamma, gram.gamma, mu_grid) <= 1e-10
+
+
+def test_active_solve_singular_block_spares_the_rest_of_the_batch():
+    # coordinates 0 and 1 are duplicates, so column 0's active block is
+    # exactly singular; it gets the min-norm solution, the others their own
+    rng = np.random.default_rng(16)
+    Z = rng.standard_normal((200, 5))
+    X = np.column_stack([Z[:, 0], Z])
+    Gamma = X.T @ X / 200
+    gamma = rng.standard_normal((6, 3))
+    S = np.array([[1, 0, 0], [1, 1, 0], [0, -1, 1], [0, 1, 1], [0, 0, -1], [0, 0, 0]], float)
+    U, V = _active_solve(Gamma, gamma, S, np.arange(3))
+    for j in (1, 2):
+        A = np.flatnonzero(S[:, j])
+        expected = np.linalg.solve(Gamma[np.ix_(A, A)], np.column_stack([gamma[A, j], S[A, j]]))
+        np.testing.assert_allclose(U[A, j], expected[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(V[A, j], expected[:, 1], rtol=1e-12)
+    assert U[0, 0] == pytest.approx((gamma[0, 0] + gamma[1, 0]) / (4 * Gamma[0, 0]))
+    assert U[0, 0] == pytest.approx(U[1, 0]) and V[0, 0] == pytest.approx(V[1, 0])
+    assert np.all(U[2:, 0] == 0.0) and np.all(U[[0, 5], 1:] == 0.0)
+
+
+def test_lasso_path_two_events_on_one_knot():
+    # a diagonal Gram matrix has the soft-threshold solution, so ties in
+    # |gamma_k| put two joins on one knot; column 1 ties two of opposite sign
+    Gamma = np.diag([1.0, 2.0, 0.5, 4.0])
+    gamma = np.array([[0.8, 0.4], [0.8, -0.4], [0.3, 0.4], [-0.3, 0.1]])
+    mu_grid = np.geomspace(1.0, 0.01, 40)
+    B = path_solutions(Gamma, gamma, mu_grid)
+    soft = np.sign(gamma) * np.maximum(np.abs(gamma) - mu_grid[:, None, None], 0.0)
+    np.testing.assert_allclose(B, soft / np.diag(Gamma)[:, None], rtol=0, atol=1e-15)
+    knots = {}
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, 0.01, 100):
+        for j in cols[hi < np.inf]:
+            knots[int(j)] = knots.get(int(j), 0) + 1
+    assert knots == {0: 4, 1: 4}
+
+
+def test_lasso_path_matches_proximal_gradient_objective():
+    gram = random_gram(2, p=4, d=3, n=300)  # pd = 12
+    mu_max = np.max(np.abs(gram.gamma))
+    mu_grid = np.geomspace(mu_max, 1e-3 * mu_max, 6)
+    B = path_solutions(gram.Gamma, gram.gamma, mu_grid)
+    for g, mu in enumerate(mu_grid):
+        for j in range(gram.p):
+            reference = proximal_gradient_lasso(gram.Gamma, gram.gamma[:, j], 2.0 * mu)
+            ours = lasso_objective(gram.Gamma, gram.gamma[:, j], B[g, :, j], 2.0 * mu)
+            theirs = lasso_objective(gram.Gamma, gram.gamma[:, j], reference, 2.0 * mu)
+            assert abs(ours - theirs) < 1e-8
+
+
 def test_cv_lambda_validates_folds():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError, match="folds"):
@@ -192,6 +300,8 @@ def test_zero_diagonal_with_signal_rejected():
     gram = GramSystem(Gamma=Gamma, gamma=gamma, N=10, d=1, p=2)
     with pytest.raises(ValueError, match="unbounded"):
         lasso_row(gram, 0, 0.1)
+    with pytest.raises(ValueError, match="unbounded"):
+        path_solutions(Gamma, gamma, np.array([0.05]))
 
 
 def test_zero_diagonal_without_signal_is_fine():
@@ -201,6 +311,10 @@ def test_zero_diagonal_without_signal_is_fine():
     gram = GramSystem(Gamma=Gamma, gamma=gamma, N=10, d=1, p=2)
     beta = lasso_row(gram, 0, 0.1)
     assert beta[0] == 0.0
+    # the path keeps the dead coordinate at zero and solves the live one
+    B = path_solutions(Gamma, gamma, np.array([0.15, 0.05, 0.01]))
+    np.testing.assert_array_equal(B[:, 0], 0.0)
+    np.testing.assert_allclose(B[:, 1], [[0.05, 0.0], [0.15, 0.05], [0.19, 0.09]])
 
 
 def test_convergence_error_carries_iterate_and_gap():
