@@ -3,18 +3,28 @@
 Each tree runs one round of every workload in ``favarbench/workloads.py`` in
 a process of its own, with every ``fit`` it makes captured. The two runs are
 then matched fit by fit: the final coefficients must be bit-identical, and
-the sweep counts and every tuning choice (tau, lambda, r and the chosen grid
-indices) equal. The outputs built from the fits must be bit-identical too:
-the origins, truncation levels and forecasts of the rolling forecast, and
-the RME ratios of the experiment cell. Also printed: the knots the lambda-CV
-paths walked, summed over folds and row problems (``-`` for a tree whose
-``LambdaCvReport`` has no ``knots``), and the largest relative difference
-between the two trees' lambda-CV fold scores.
+the iteration counts and every tuning choice (tau, lambda, r and the chosen
+grid indices) equal. The outputs built from the fits must be bit-identical
+too: the origins, truncation levels and forecasts of the rolling forecast,
+and the RME ratios of the experiment cell. Also printed: the knots the
+lambda-CV paths walked, summed over folds and row problems (``-`` for a
+tree whose ``LambdaCvReport`` has no ``knots``), the largest relative
+difference between the two trees' lambda-CV fold scores, and each fit's
+iterations on both trees.
 
-    python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--seed 1]
+With ``--same-choices``, for two trees whose final lasso solvers differ,
+the tuning choices, the forecast origins and truncation levels, and the
+lambda-CV fold scores must still be equal, but the coefficients, forecasts
+and RME ratios need not be: the largest ``|var.A|`` difference and the
+largest relative difference of the forecasts and RMEs are printed instead,
+and iteration counts are not compared (sweeps and knots count different
+things).
+
+    python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--seed 1] [--same-choices]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``favar`` package,
-such as the ``src`` of two checkouts. Exits 1 if any fit differs.
+such as the ``src`` of two checkouts. Exits 1 if any required equality
+fails.
 """
 
 from __future__ import annotations
@@ -108,29 +118,48 @@ def run_tree(src: str, seed: int) -> dict:
         return pickle.loads(Path(out.name).read_bytes())
 
 
-def compare(old: dict, new: dict) -> list[str]:
+# outputs that are tuning choices, equal in both modes
+CHOICE_OUTPUTS = ("origins", "taus")
+
+
+def relative_difference(a, b) -> float:
+    """Largest ``|b - a| / |a|``; entries equal on both sides count 0."""
+    diff = np.abs(np.asarray(b, float) - np.asarray(a, float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.max(np.where(diff == 0.0, 0.0, diff / np.abs(a)), initial=0.0))
+
+
+def compare(old: dict, new: dict, same_choices: bool = False) -> list[str]:
     problems = []
     for name in old:
         o, n = old[name], new[name]
-        worst = 0.0
+        worst = worst_A = worst_out = 0.0
         if len(o["fits"]) != len(n["fits"]):
             problems.append(f"{name}: {len(o['fits'])} fits vs {len(n['fits'])}")
             continue
         for i, (a, b) in enumerate(zip(o["fits"], n["fits"])):
             where = f"{name} fit {i}"
-            if not np.array_equal(a["A"], b["A"]):
-                diff = float(np.max(np.abs(a["A"] - b["A"])))
-                problems.append(f"{where}: var.A differs (max abs {diff:.3e})")
-            if not np.array_equal(a["iterations"], b["iterations"]):
-                problems.append(f"{where}: var.iterations differ")
+            diff = float(np.max(np.abs(a["A"] - b["A"]), initial=0.0))
+            worst_A = max(worst_A, diff)
+            if not same_choices:
+                if not np.array_equal(a["A"], b["A"]):
+                    problems.append(f"{where}: var.A differs (max abs {diff:.3e})")
+                if not np.array_equal(a["iterations"], b["iterations"]):
+                    problems.append(f"{where}: var.iterations differ")
             for key in ("tau", "lambda", "r", "tau_index", "lambda_index"):
                 if a[key] != b[key]:
                     problems.append(f"{where}: {key} {a[key]!r} vs {b[key]!r}")
             if a["fold_scores"] is not None:
-                rel = np.abs(b["fold_scores"] - a["fold_scores"]) / np.abs(a["fold_scores"])
-                worst = max(worst, float(rel.max()))
+                worst = max(worst, relative_difference(a["fold_scores"], b["fold_scores"]))
+                if same_choices and not np.array_equal(a["fold_scores"], b["fold_scores"]):
+                    problems.append(f"{where}: lambda-CV fold scores differ")
         for key, a in o["outputs"].items():
-            if not np.array_equal(a, n["outputs"].get(key)):
+            b = n["outputs"].get(key)
+            if np.array_equal(a, b):
+                continue
+            if same_choices and key not in CHOICE_OUTPUTS and np.shape(a) == np.shape(b):
+                worst_out = max(worst_out, relative_difference(a, b))
+            else:
                 problems.append(f"{name}: {key} differs")
         if o["outputs"]:
             print(f"{name}: compared {', '.join(o['outputs'])}")
@@ -138,11 +167,17 @@ def compare(old: dict, new: dict) -> list[str]:
             f"{name}: {len(o['fits'])} fits; path knots {o['path_knots']} -> "
             f"{n['path_knots']}; largest relative fold-score difference {worst:.2e}"
         )
-        for i, f in enumerate(n["fits"]):
+        if same_choices:
             print(
-                f"  fit {i}: r={f['r']} tau_index={f['tau_index']} "
-                f"lambda_index={f['lambda_index']} sweeps max {int(f['iterations'].max())} "
-                f"sum {int(f['iterations'].sum())}"
+                f"{name}: largest |var.A| difference {worst_A:.2e}; largest relative "
+                f"output difference {worst_out:.2e}"
+            )
+        for i, (a, b) in enumerate(zip(o["fits"], n["fits"])):
+            print(
+                f"  fit {i}: r={b['r']} tau_index={b['tau_index']} "
+                f"lambda_index={b['lambda_index']} iterations max "
+                f"{int(a['iterations'].max())} -> {int(b['iterations'].max())}, sum "
+                f"{int(a['iterations'].sum())} -> {int(b['iterations'].sum())}"
             )
     return problems
 
@@ -152,6 +187,11 @@ def main() -> int:
     ap.add_argument("old_src", nargs="?")
     ap.add_argument("new_src", nargs="?")
     ap.add_argument("--seed", type=int, default=1, help="the benchmark's sign-flip seed")
+    ap.add_argument(
+        "--same-choices", action="store_true",
+        help="require equal choices and fold scores only; report coefficient and output "
+        "differences",
+    )
     ap.add_argument("--collect", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.collect:
@@ -159,10 +199,13 @@ def main() -> int:
         return 0
     if not (args.old_src and args.new_src):
         ap.error("need OLD_SRC and NEW_SRC")
-    problems = compare(run_tree(args.old_src, args.seed), run_tree(args.new_src, args.seed))
+    problems = compare(
+        run_tree(args.old_src, args.seed), run_tree(args.new_src, args.seed), args.same_choices
+    )
     for line in problems:
         print(f"DIFF {line}")
-    print("identical fits" if not problems else f"{len(problems)} differences")
+    same = "same choices" if args.same_choices else "identical fits"
+    print(same if not problems else f"{len(problems)} differences")
     return 1 if problems else 0
 
 

@@ -47,10 +47,12 @@ class FitOptions:
     ``inf`` for no truncation; its CV scores the autocovariances at lags
     0..d. ``lam`` is either "cv" or a fixed penalty.
     ``r`` is a known factor number (0 for none) or "auto" for the
-    information-criterion choice (the IC_p2 criterion). ``max_iter`` bounds
-    both the final lasso's coordinate-descent sweeps and the knots each
-    lambda-CV path walks; the final lasso stops at a KKT gap of at most
-    ``10 * tol``.
+    information-criterion choice (the IC_p2 criterion). Every lasso solve,
+    in lambda-CV and in the final fit, walks its exact solution path:
+    ``max_iter`` is the knot budget of each path. ``tol`` is no stopping
+    rule but the final fit's certificate: each row's KKT gap must be at
+    most ``10 * tol`` times that row's largest ``|gamma|``, so it does not
+    depend on the units of the data.
     """
 
     r: int | str = 0

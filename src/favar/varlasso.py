@@ -5,19 +5,18 @@ Because the smooth part carries no 1/2, its gradient is 2(Gamma b - gamma_j)
 and the soft threshold sits at mu = lambda / 2; keeping that factor explicit
 here avoids the classic off-by-two.
 
-``fit_var`` solves at one penalty by cyclic coordinate descent. One rule
-stops it: a problem is finished at the first sweep where its first-order
-optimality (KKT) gap is at most ``10 * tol``. The gap is a
-solver-independent certificate; sweep-to-sweep coordinate changes are not
-one, since on a singular Gram matrix coordinates can drift along its null
-space while the fit and the gap stay put.
-
-``cv_lambda`` needs every grid penalty on every fold, so it walks each
-problem's exact solution path instead (Osborne, Presnell & Turlach 2000;
-Efron et al. 2004). Between knots the solution is linear in mu,
-b_A(mu) = Gamma_AA^-1 (gamma_A - mu s_A) on the active set A with signs
-s_A; a knot is where a coordinate joins (its residual correlation
-|gamma_k - Gamma_k b| reaches mu) or leaves (its coefficient reaches 0).
+One solver serves every penalty: each problem walks its exact solution path
+(Osborne, Presnell & Turlach 2000; Efron et al. 2004). Between knots the
+solution is linear in mu, b_A(mu) = Gamma_AA^-1 (gamma_A - mu s_A) on the
+active set A with signs s_A; a knot is where a coordinate joins (its
+residual correlation |gamma_k - Gamma_k b| reaches mu) or leaves (its
+coefficient reaches 0). ``fit_var`` and ``lasso_row`` walk down to one
+penalty and read the solution off the segment that holds it; ``cv_lambda``
+reads every grid penalty off the same walk. ``max_iter`` bounds the knots.
+The path is exact up to rounding, so ``tol`` is no stopping rule but a
+certificate checked once at the end: a row's first-order optimality (KKT)
+gap must be at most ``10 * tol`` times its largest ``|gamma_j|``, which
+keeps the check invariant to rescaling the data.
 """
 
 from __future__ import annotations
@@ -32,7 +31,12 @@ from .panel import _frozen
 
 
 class ConvergenceError(RuntimeError):
-    """Sweep or knot budget exhausted; carries the last iterate and its KKT gap."""
+    """A lasso solve failed: its knot budget ran out, or its KKT certificate.
+
+    ``beta`` is the last iterate (pd x columns), ``kkt_gap`` the worst gap
+    among the failed columns at the target penalty, and ``iterations`` the
+    knots each column walked.
+    """
 
     def __init__(self, message, beta, kkt_gap, iterations):
         super().__init__(message)
@@ -55,7 +59,7 @@ class VarFit:
     def __post_init__(self):
         object.__setattr__(self, "A", _frozen(self.A))
         object.__setattr__(self, "A_blocks", tuple(_frozen(b) for b in self.A_blocks))
-        object.__setattr__(self, "iterations", _frozen(np.asarray(self.iterations)))
+        object.__setattr__(self, "iterations", _frozen(self.iterations, dtype=int))
 
     @property
     def p(self) -> int:
@@ -98,10 +102,6 @@ class LambdaCvReport:
         return float(self.grid[self.one_se])
 
 
-def _soft(x: np.ndarray, s: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - s, 0.0)
-
-
 def kkt_gap(Gamma: np.ndarray, gamma_col: np.ndarray, beta: np.ndarray, lam: float) -> float:
     """Worst violation of the subgradient optimality conditions."""
     return float(_kkt_gaps(2.0 * (Gamma @ beta - gamma_col), beta, lam))
@@ -113,74 +113,6 @@ def _kkt_gaps(grad: np.ndarray, B: np.ndarray, lam: float) -> np.ndarray:
         B != 0.0, np.abs(grad + lam * np.sign(B)), np.maximum(np.abs(grad) - lam, 0.0)
     )
     return violation.max(axis=0, initial=0.0)
-
-
-def _objectives(Gamma, gamma, B, lam, Q=None):
-    if Q is None:
-        Q = Gamma @ B
-    quad = np.einsum("km,km->m", B, Q)
-    lin = np.einsum("km,km->m", B, gamma)
-    return quad - 2.0 * lin + lam * np.sum(np.abs(B), axis=0)
-
-
-def _column_objective(Gamma_cols, gamma_col, beta_active, active, lam):
-    q = Gamma_cols @ beta_active
-    return float(
-        beta_active @ q[active] - 2.0 * beta_active @ gamma_col[active]
-        + lam * np.abs(beta_active).sum()
-    )
-
-
-def _refine_columns(Gamma, gamma, B, Q, lam, cols):
-    """Jump columns to the exact solution of their current sign pattern.
-
-    A cyclic sweep that crosses no thresholds is a Gauss-Seidel sweep on the
-    pattern's linear system, so the pattern's exact solution is the fixed
-    point the sweeps crawl toward; solving for it directly skips the long
-    tail of sweeps on ill-conditioned problems. Coordinates whose solved sign
-    disagrees with the pattern are pruned and the system re-solved a few
-    times. A jump is only accepted when it lowers the objective, and the
-    ordinary sweeps plus the KKT certificate still decide convergence, so a
-    wrongly guessed pattern costs time, not correctness.
-    """
-    half = 0.5 * lam
-    for j in cols:
-        beta = B[:, j]
-        active = np.flatnonzero(beta)
-        if active.size == 0:
-            continue
-        signs = np.sign(beta[active])
-        z = None
-        for _ in range(6):
-            system = Gamma[np.ix_(active, active)]
-            rhs = gamma[active, j] - half * signs
-            try:
-                z = np.linalg.solve(system, rhs)
-            except np.linalg.LinAlgError:
-                z = None
-            if z is None or not np.all(np.isfinite(z)):
-                # singular pattern (flat directions): take the min-norm solution
-                z = np.linalg.lstsq(system, rhs, rcond=None)[0]
-            keep = np.sign(z) == signs
-            if keep.all():
-                break
-            if not keep.any():
-                z = None
-                break
-            active, signs, z = active[keep], signs[keep], None
-        if z is None:
-            continue
-        Gamma_cols = Gamma[:, active]
-        old_active = np.flatnonzero(beta)
-        old_obj = _column_objective(
-            Gamma[:, old_active], gamma[:, j], beta[old_active], old_active, lam
-        )
-        new_obj = _column_objective(Gamma_cols, gamma[:, j], z, active, lam)
-        if new_obj > old_obj - 1e-15 * (1.0 + abs(old_obj)):
-            continue
-        B[:, j] = 0.0
-        B[active, j] = z
-        Q[:, j] = Gamma_cols @ z
 
 
 def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -200,128 +132,14 @@ def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return live
 
 
-def _cd_solve(
-    Gamma: np.ndarray,
-    gamma: np.ndarray,
-    lam: float,
-    tol: float,
-    max_iter: int,
-    order: str = "forward",
-    check_objective: bool = False,
-):
-    """Cyclic coordinate descent run jointly over every column of ``gamma``.
-
-    Columns are independent problems sharing one Gamma; each is frozen at
-    the first sweep after which its KKT gap is at most ``10 * tol``, and
-    nothing else is tested. After every sweep the unfinished columns jump to
-    the exact solution of their current sign pattern (see
-    ``_refine_columns``). With
-    ``check_objective`` the jumps are off, so the iteration is plain textbook
-    coordinate descent whose objective is asserted never to increase.
-    """
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
-    pd_, m = gamma.shape
-    live = _live_coordinates(Gamma, gamma)
-    diag = np.diag(Gamma).copy()
-    B = np.zeros((pd_, m))
-    Q = Gamma @ B
-    half = 0.5 * lam
-    target_gap = 10.0 * tol
-    sequence = range(pd_) if order == "forward" else range(pd_ - 1, -1, -1)
-    sequence = [k for k in sequence if live[k]]
-    remaining = np.ones(m, dtype=bool)
-    iters = np.zeros(m, dtype=int)
-    prev_obj = _objectives(Gamma, gamma, B, lam, Q) if check_objective else None
-    for sweep in range(1, max_iter + 1):
-        for k in sequence:
-            dk = diag[k]
-            rk = gamma[k] - (Q[k] - dk * B[k])
-            delta = _soft(rk, half) / dk - B[k]
-            delta[~remaining] = 0.0
-            changed = np.flatnonzero(delta)
-            if changed.size:
-                B[k, changed] += delta[changed]
-                Q[:, changed] += np.outer(Gamma[:, k], delta[changed])
-        if check_objective:
-            obj = _objectives(Gamma, gamma, B, lam, Q)
-            slack = 1e-10 * (1.0 + np.abs(prev_obj))
-            if np.any(obj > prev_obj + slack):
-                raise AssertionError("objective increased across a sweep")
-            prev_obj = obj
-        done = remaining & (_kkt_gaps(2.0 * (Q - gamma), B, lam) <= target_gap)
-        remaining[done] = False
-        iters[done] = sweep
-        if not remaining.any():
-            return B, iters
-        if not check_objective:
-            _refine_columns(Gamma, gamma, B, Q, lam, np.flatnonzero(remaining))
-    worst = float(_kkt_gaps(2.0 * (Q - gamma), B, lam)[remaining].max())
-    iters[remaining] = max_iter
-    raise ConvergenceError(
-        f"{int(remaining.sum())} of {m} problems unconverged after {max_iter} sweeps "
-        f"(worst KKT gap {worst:.3e})",
-        beta=B,
-        kkt_gap=worst,
-        iterations=iters,
-    )
-
-
-def lasso_row(
-    G: GramSystem,
-    j: int,
-    lam: float,
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
-    order: str = "forward",
-    check_objective: bool = False,
-) -> np.ndarray:
-    """Solve the j-th row problem; returns the pd coefficient vector."""
-    if not 0 <= j < G.p:
-        raise ValueError(f"row index {j} outside 0..{G.p - 1}")
-    B, _ = _cd_solve(
-        G.Gamma,
-        G.gamma[:, [j]],
-        lam,
-        tol,
-        max_iter,
-        order=order,
-        check_objective=check_objective,
-    )
-    return B[:, 0]
-
-
-def fit_var(
-    G: GramSystem,
-    lam: float,
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
-    check_objective: bool = False,
-) -> VarFit:
-    """Solve all p row problems and assemble the lag blocks."""
-    try:
-        B, iters = _cd_solve(
-            G.Gamma, G.gamma, lam, tol, max_iter, check_objective=check_objective
-        )
-    except ConvergenceError as e:
-        bad = np.flatnonzero(e.iterations >= max_iter)
-        raise ConvergenceError(
-            f"rows {bad.tolist()} failed to converge: {e}",
-            beta=e.beta,
-            kkt_gap=e.kkt_gap,
-            iterations=e.iterations,
-        ) from None
-    A = B.T
-    blocks = tuple(A[:, ell * G.p : (ell + 1) * G.p] for ell in range(G.d))
-    active = tuple(np.flatnonzero(A[i]) for i in range(G.p))
-    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=G.d, active_set=active, iterations=iters)
-
-
 # lambda path depth: the grid runs down to this fraction of its largest value
 _LAMBDA_DEPTH = 1e-3
 # columns whose padded active systems go to one batched solve; bounds the
 # memory of the stacked blocks
 _SOLVE_BLOCK = 16
+# a coordinate joins a path only above this fraction of its column's largest
+# |gamma| (see _lasso_path)
+_JOIN_FLOOR = 1e-12
 
 
 def _solve_blocks(M: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -381,17 +199,27 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
     advances one knot per segment, so the segments of a column tile
     ``[mu_stop, inf)`` with no overlap. A column finishes once its segment
     reaches ``mu_stop``; ``ConvergenceError`` is raised if one is unfinished
-    after ``max_iter`` knots.
+    after ``max_iter`` knots, with its iterate at the last knot and that
+    iterate's KKT gap at lambda = 2 ``mu_stop``.
 
     At a knot the correlations c(mu) = gamma - Gamma b(mu) = cu + mu cv are
     linear too, so the next event of each coordinate has a closed form.
     Events due at or above the current knot (ties, rounding) happen at it.
     The coordinate that changed at a knot is barred only from undoing that
     change there: it may still re-enter later with the opposite sign.
+
+    A coordinate joins only if its sign-matched ``cu`` exceeds
+    ``_JOIN_FLOOR`` times its column's largest ``|gamma|``. Deep on a
+    rank-deficient Gram matrix, the coordinates outside a full-rank active
+    set have ``cu`` of rounding size, and letting them join makes spurious
+    knots on singular blocks. The correlation of a coordinate kept out this
+    way exceeds mu by at most the floor on the rest of the segment, so its
+    KKT violation is at most twice the floor.
     """
     pd_, m = gamma.shape
     live = _live_coordinates(Gamma, gamma)
     mu = np.abs(gamma).max(axis=0, initial=0.0)
+    floor = _JOIN_FLOOR * mu
     zeros = np.zeros((pd_, m))
     yield np.arange(m), np.full(m, np.inf), mu.copy(), zeros, zeros
     cols = np.flatnonzero(mu > mu_stop)
@@ -409,23 +237,30 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
         if cols.size == 0:
             return
         U, V = _active_solve(Gamma, gamma, S, cols)
-        CU = gamma[:, cols] - Gamma @ U
-        CV = Gamma @ V
-        Sc = S[:, cols]
         hi = mu[cols]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = 1.0 - sigma * CV
-            join = np.where(
-                (Sc == 0.0) & live[:, None] & (slope > 0.0) & (sigma * CU > 0.0),
-                sigma * CU / slope, 0.0,
-            )
-            leave = np.where((Sc * V < 0.0) & (Sc * U < 0.0), U / V, 0.0)
-        times = np.minimum(np.concatenate([join, leave[None]]), hi)
-        at = np.arange(cols.size)
-        times[bar_kind[cols], bar_coord[cols], at] = 0.0
-        times = times.reshape(3 * pd_, cols.size)
-        event = times.argmax(axis=0)
-        lo = times[event, at]
+        event = np.empty(cols.size, dtype=int)
+        lo = np.empty(cols.size)
+        # the event search runs _SOLVE_BLOCK columns at a time: its candidate
+        # stack is 3 x pd per column
+        for start in range(0, cols.size, _SOLVE_BLOCK):
+            blk = slice(start, start + _SOLVE_BLOCK)
+            c, Ub, Vb = cols[blk], U[:, blk], V[:, blk]
+            CU = gamma[:, c] - Gamma @ Ub
+            CV = Gamma @ Vb
+            Sc = S[:, c]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = 1.0 - sigma * CV
+                join = np.where(
+                    (Sc == 0.0) & live[:, None] & (slope > 0.0) & (sigma * CU > floor[c]),
+                    sigma * CU / slope, 0.0,
+                )
+                leave = np.where((Sc * Vb < 0.0) & (Sc * Ub < 0.0), Ub / Vb, 0.0)
+            times = np.minimum(np.concatenate([join, leave[None]]), hi[blk])
+            at = np.arange(c.size)
+            times[bar_kind[c], bar_coord[c], at] = 0.0
+            times = times.reshape(3 * pd_, c.size)
+            event[blk] = times.argmax(axis=0)
+            lo[blk] = times[event[blk], at]
         yield cols, hi, lo, U, V
         go = lo > mu_stop
         cols, kind, k = cols[go], *np.divmod(event[go], pd_)
@@ -437,16 +272,74 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
     if cols.size:
         U, V = _active_solve(Gamma, gamma, S, cols)
         B = U - mu[cols] * V
-        gaps = _kkt_gaps(2.0 * (Gamma @ B - gamma[:, cols]), B, 2.0 * mu[cols])
+        gap = float(_kkt_gaps(2.0 * (Gamma @ B - gamma[:, cols]), B, 2.0 * mu_stop).max())
         knots = np.zeros(m, dtype=int)
         knots[cols] = max_iter
         raise ConvergenceError(
             f"{cols.size} of {m} lasso paths unfinished after {max_iter} knots "
-            f"(worst KKT gap {float(gaps.max()):.3e})",
+            f"(worst KKT gap {gap:.3e})",
             beta=B,
-            kkt_gap=float(gaps.max()),
+            kkt_gap=gap,
             iterations=knots,
         )
+
+
+def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_iter: int):
+    """Every column's lasso solution at ``lam``, read off its exact path.
+
+    Returns the pd x m solutions and the knots each column's path walked.
+    Each solution must then meet the KKT certificate: a gap of at most
+    ``10 * tol`` times its column's largest ``|gamma|``.
+    """
+    if lam < 0.0:
+        raise ValueError("lambda must be non-negative")
+    mu = 0.5 * lam
+    B = np.zeros(gamma.shape)
+    knots = np.zeros(gamma.shape[1], dtype=int)
+    done = np.zeros(gamma.shape[1], dtype=bool)
+    try:
+        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu, max_iter):
+            knots[cols] += hi < np.inf
+            end = lo <= mu  # the segment that holds mu ends the column's walk
+            B[:, cols[end]] = U[:, end] - mu * V[:, end]
+            done[cols[end]] = True
+    except ConvergenceError as e:
+        B[:, ~done] = e.beta
+        raise ConvergenceError(
+            f"rows {np.flatnonzero(~done).tolist()} failed to converge: {e}",
+            beta=B,
+            kkt_gap=e.kkt_gap,
+            iterations=knots,
+        ) from None
+    gaps = _kkt_gaps(2.0 * (Gamma @ B - gamma), B, lam)
+    bad = np.flatnonzero(gaps > 10.0 * tol * np.abs(gamma).max(axis=0, initial=0.0))
+    if bad.size:
+        raise ConvergenceError(
+            f"rows {bad.tolist()} miss the KKT certificate at tol {tol:g} "
+            f"(worst KKT gap {float(gaps[bad].max()):.3e})",
+            beta=B,
+            kkt_gap=float(gaps[bad].max()),
+            iterations=knots,
+        )
+    return B, knots
+
+
+def lasso_row(
+    G: GramSystem, j: int, lam: float, tol: float = 1e-7, max_iter: int = 100_000
+) -> np.ndarray:
+    """Solve the j-th row problem; returns the pd coefficient vector."""
+    if not 0 <= j < G.p:
+        raise ValueError(f"row index {j} outside 0..{G.p - 1}")
+    return _solve_at(G.Gamma, G.gamma[:, [j]], lam, tol, max_iter)[0][:, 0]
+
+
+def fit_var(G: GramSystem, lam: float, tol: float = 1e-7, max_iter: int = 100_000) -> VarFit:
+    """Solve all p row problems and assemble the lag blocks."""
+    B, knots = _solve_at(G.Gamma, G.gamma, lam, tol, max_iter)
+    A = B.T
+    blocks = tuple(A[:, ell * G.p : (ell + 1) * G.p] for ell in range(G.d))
+    active = tuple(np.flatnonzero(A[i]) for i in range(G.p))
+    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=G.d, active_set=active, iterations=knots)
 
 
 def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:

@@ -103,3 +103,19 @@ def test_factor_var_gaussian_coefficient_error_is_controlled():
         err = float(np.max(np.sqrt(np.sum((result.var.A - panel.A) ** 2, axis=1))))
         hits += err < 1.0
     assert hits >= 18
+
+
+def test_fit_is_invariant_to_rescaling_the_panel():
+    # tau sits on the MAD scale, the lambda grid on the path head and the
+    # lasso certificate on max |gamma|, so no choice depends on the units
+    spec = DgpSpec(n=200, p=20, var_design="banded", innovation="student_t", nu=2.1,
+                   factor_design="var1_factors", r=3, seed=3)
+    x = simulate_panel(spec).x
+    opts = FitOptions(r="auto", d=1)
+    base = fit(x, opts)
+    for c in (1e-3, 1e3):
+        scaled = fit(PanelSeries.from_values(c * x.values), opts)
+        assert scaled.r == base.r
+        assert scaled.tau_report.chosen == base.tau_report.chosen
+        assert scaled.lambda_report.chosen == base.lambda_report.chosen
+        np.testing.assert_allclose(scaled.var.A, base.var.A, rtol=0, atol=1e-10)
