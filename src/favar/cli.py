@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,26 +90,23 @@ def _write_matrix(path, matrix, header) -> None:
 
 
 def _read_vector(path) -> np.ndarray:
-    """Flatten every numeric cell of a CSV (header row optional)."""
+    """Flatten every cell of a numeric CSV. Line 1 may be a header; any other
+    cell that is not a number is an input error."""
     path = Path(path)
     if not path.exists():
         raise CliError("input", f"file not found: {path}")
-    rows = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    values = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
-        cells = []
-        for cell in raw.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells = None
-                break
-        if cells is not None:
-            rows.extend(cells)
-    if not rows:
+        try:
+            values += [float(cell) for cell in raw.split(",")]
+        except ValueError:
+            if lineno > 1:
+                raise CliError("input", f"{path}:{lineno}: not a number in {raw!r}") from None
+    if not values:
         raise CliError("input", f"no numeric data in {path}")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(values, dtype=float)
 
 
 def _manifest(out_dir: Path, subcommand: str, config: dict, files, **extra) -> None:
@@ -122,6 +119,15 @@ def _manifest(out_dir: Path, subcommand: str, config: dict, files, **extra) -> N
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _flag_manifest(args, files, **extra) -> None:
+    """Write the manifest of a subcommand run. Its ``config`` holds the parsed
+    flags but ``--out``, each under the flag's name: key ``k`` replays as
+    ``--k`` with ``_`` written ``-``, a true value is the bare flag, and
+    false and null values are left out."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+    _manifest(Path(args.out), args.command, config, files, **extra)
 
 
 def _svg_line_plot(path, series: dict, hlines=(), width=720, height=360) -> None:
@@ -236,15 +242,15 @@ def _cell_fingerprint(cfg: ExperimentConfig) -> dict:
     derived from ``seed``, and ``dgp.nu`` unless the innovations are
     Student-t, the only law that reads it.
     """
-    fields = {f"dgp.{k}": v for k, v in asdict(cfg.dgp).items()}
-    del fields["dgp.seed"]
+    flat = {f"dgp.{k}": v for k, v in asdict(cfg.dgp).items()}
+    del flat["dgp.seed"]
     if cfg.dgp.innovation != "student_t":
-        del fields["dgp.nu"]
-    fields.update(
+        del flat["dgp.nu"]
+    flat.update(
         seed=cfg.seed, d=cfg.d, norms=list(cfg.norms), tau=cfg.tau,
         tau_grid_size=cfg.tau_grid_size, n_lambda=cfg.n_lambda, n_folds=cfg.n_folds,
     )
-    return json.loads(json.dumps(fields))
+    return json.loads(json.dumps(flat))
 
 
 def _read_replication(path: Path, fingerprint: dict) -> dict | None:
@@ -329,40 +335,29 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev
 # subcommands
 
 
-def _resolve_factors(value: str):
-    if value == "auto":
-        return "auto"
+def _fit_options(args, options=FitOptions, **extra) -> FitOptions:
+    """The fit settings of estimate and forecast, one field per flag; a value
+    the options refuse is a usage error."""
     try:
-        r = int(value)
-    except ValueError:
-        raise CliError("usage", f"--factors must be an integer or 'auto', got {value!r}")
-    if r < 0:
-        raise CliError("usage", "--factors must be non-negative")
-    return r
-
-
-def _fit_options_from_args(args) -> FitOptions:
-    """The fit settings of estimate and forecast. For --tau/--tau-cv and
-    --lambda/--lambda-cv a -cv flag wins, and CV is the default."""
-    return FitOptions(
-        r=_resolve_factors(args.factors),
-        r_max=args.r_max,
-        d=args.d,
-        tau="cv" if args.tau_cv or args.tau is None else float(args.tau),
-        tau_grid_size=args.tau_grid_size,
-        lam="cv" if args.lambda_cv or args.lam is None else float(args.lam),
-        n_lambda=args.n_lambda,
-        n_folds=args.folds,
-    )
+        return options(
+            r=args.r,
+            r_max=args.r_max,
+            d=args.d,
+            tau=args.tau,
+            tau_grid_size=args.tau_grid_size,
+            lam=vars(args)["lambda"],
+            n_lambda=args.n_lambda,
+            n_folds=args.n_folds,
+            **extra,
+        )
+    except ValueError as e:
+        raise CliError("usage", str(e)) from e
 
 
 def cmd_simulate(args) -> int:
     raw = parse_config(args.dgp)
-    known = {
-        "n", "p", "var_design", "innovation", "nu", "factor_design", "r",
-        "sigma_eps", "burn_in",
-    }
-    unknown = set(raw) - known
+    # each replication's seed derives from --seed, so the file may not set one
+    unknown = set(raw) - {f.name for f in fields(DgpSpec) if f.name != "seed"}
     if unknown:
         raise CliError("input", f"unknown DGP config keys: {sorted(unknown)}")
     out = Path(args.out)
@@ -398,8 +393,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     x = load_csv(args.input, has_header=not args.no_header)
-    opts = _fit_options_from_args(args)
-    result = fit(x, opts)
+    result = fit(x, _fit_options(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -424,28 +418,16 @@ def cmd_estimate(args) -> int:
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     files.append("summary.txt")
-    _manifest(
-        out,
-        "estimate",
-        {
-            "input": str(args.input),
-            "no_header": args.no_header,
-            **result.config,
-        },
-        files,
-    )
+    _flag_manifest(args, files, fit=result.config)
     print("\n".join(summary))
     return 0
 
 
 def cmd_forecast(args) -> int:
     x = load_csv(args.input, has_header=not args.no_header)
-    opts = ForecastOptions(
-        **asdict(_fit_options_from_args(args)),
-        window=args.window,
-        horizon=args.horizon,
-        reselect_r=args.reselect_r,
-        reselect_tau=not args.fixed_tau,
+    opts = _fit_options(
+        args, ForecastOptions, window=args.window, horizon=args.horizon,
+        reselect_r=args.reselect_r, reselect_tau=not args.fixed_tau,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -469,17 +451,7 @@ def cmd_forecast(args) -> int:
         emit(base, base_rows, suffix="_baseline")
     else:
         emit(run, slice(None))
-    _manifest(
-        out,
-        "forecast",
-        {
-            "input": str(args.input),
-            "no_header": args.no_header,
-            **asdict(opts),
-            "baseline": args.baseline,
-        },
-        files,
-    )
+    _flag_manifest(args, files)
     skipped = len(run.skipped)
     print(f"{run.origins.size} origins forecast, {skipped} skipped, outputs in {out}")
     return 0
@@ -499,13 +471,7 @@ def cmd_evaluate(args) -> int:
             with open(out / "rme.csv", "w", encoding="utf-8") as fh:
                 fh.write("metric,norm,value,reps\n")
                 fh.write(f"rme,{args.norm},{value:.17g},{errs_a.size}\n")
-            _manifest(
-                out,
-                "evaluate",
-                {"metric": "rme", "norm": args.norm,
-                 "errs_a": str(args.errs_a), "errs_b": str(args.errs_b)},
-                ["rme.csv"],
-            )
+            _flag_manifest(args, ["rme.csv"])
         return 0
     # fluctuation mode: compare two per-origin forecast-error files series by series
     fe_a = load_csv(args.fe_a, has_header=True)
@@ -553,13 +519,7 @@ def cmd_evaluate(args) -> int:
                     hlines=(result.critical_value, -result.critical_value),
                 )
                 files.append(f"{stem}.svg")
-        _manifest(
-            out,
-            "evaluate",
-            {"metric": "fluctuation", "mu": args.mu,
-             "fe_a": str(args.fe_a), "fe_b": str(args.fe_b), "series": args.series},
-            files,
-        )
+        _flag_manifest(args, files)
     return 0
 
 
@@ -574,13 +534,7 @@ def cmd_cv_tau(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         table = np.column_stack([grid.values, report.scores])
         _write_matrix(out / "tau_scores.csv", table, ["tau", "score"])
-        _manifest(
-            out,
-            "cv-tau",
-            {"input": str(args.input), "tau_grid_size": args.tau_grid_size,
-             "cv_lags": args.cv_lags, "chosen_tau": report.tau},
-            ["tau_scores.csv"],
-        )
+        _flag_manifest(args, ["tau_scores.csv"], chosen_tau=report.tau)
     return 0
 
 
@@ -588,18 +542,36 @@ def cmd_cv_tau(args) -> int:
 # argument wiring
 
 
-def _add_common_fit_flags(sub):
-    sub.add_argument("--tau", type=float, default=None,
-                     help="fixed truncation level on the standardised scale (inf disables)")
-    sub.add_argument("--tau-cv", action="store_true",
-                     help="select the truncation level by cross-validation (default)")
+def _number_or(word: str, number=float):
+    """An argparse type taking ``word`` or a number parsed by ``number``."""
+    def parse(text: str):
+        if text == word:
+            return word
+        try:
+            return number(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {number.__name__} or {word!r}, got {text!r}") from None
+    return parse
+
+
+def _add_fit_flags(sub):
+    """The flags of every fit setting, shared by estimate and forecast."""
+    sub.add_argument("--input", required=True)
+    sub.add_argument("--no-header", action="store_true")
+    sub.add_argument("--r", type=_number_or("auto", int), default=0,
+                     help="factor number, or 'auto' for the IC_p2 criterion")
+    sub.add_argument("--r-max", type=int, default=8)
+    sub.add_argument("--d", type=int, default=1, help="VAR order")
+    sub.add_argument("--tau", type=_number_or("cv"), default="cv",
+                     help="truncation level on the standardised scale: 'cv' "
+                     "(cross-validated), a number, or inf for none")
     sub.add_argument("--tau-grid-size", type=int, default=60)
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="fixed l1 penalty")
-    sub.add_argument("--lambda-cv", action="store_true",
-                     help="select the penalty by cross-validation (default)")
+    sub.add_argument("--lambda", type=_number_or("cv"), default="cv",
+                     help="l1 penalty: 'cv' (cross-validated) or a number")
     sub.add_argument("--n-lambda", type=int, default=50)
-    sub.add_argument("--folds", type=int, default=5)
+    sub.add_argument("--n-folds", type=int, default=5)
+    sub.add_argument("--out", required=True)
 
 
 def build_parser() -> _Parser:
@@ -614,32 +586,19 @@ def build_parser() -> _Parser:
     sim.set_defaults(func=cmd_simulate)
 
     est = subs.add_parser("estimate", help="fit the two-stage estimator to a panel CSV")
-    est.add_argument("--input", required=True)
-    est.add_argument("--no-header", action="store_true")
-    est.add_argument("--r", "--factors", dest="factors", default="0",
-                     help="factor number, or 'auto' for the IC_p2 criterion")
-    est.add_argument("--r-max", type=int, default=8)
-    est.add_argument("--d", type=int, default=1, help="VAR order")
-    _add_common_fit_flags(est)
-    est.add_argument("--out", required=True)
+    _add_fit_flags(est)
     est.set_defaults(func=cmd_estimate)
 
     fc = subs.add_parser("forecast", help="rolling-window forecasts from a panel CSV")
-    fc.add_argument("--input", required=True)
-    fc.add_argument("--no-header", action="store_true")
+    _add_fit_flags(fc)
     fc.add_argument("--window", type=int, default=120)
     fc.add_argument("--horizon", type=int, default=1)
-    fc.add_argument("--order", dest="d", type=int, default=1, help="VAR order d")
-    fc.add_argument("--r", "--factors", dest="factors", default="0")
-    fc.add_argument("--r-max", type=int, default=8)
     fc.add_argument("--reselect-r", action="store_true",
                     help="re-select the factor number in every window")
     fc.add_argument("--fixed-tau", action="store_true",
                     help="cross-validate tau on the first window only, then reuse it")
     fc.add_argument("--baseline", action="store_true",
                     help="also run the untruncated baseline on the same origins")
-    _add_common_fit_flags(fc)
-    fc.add_argument("--out", required=True)
     fc.set_defaults(func=cmd_forecast)
 
     evl = subs.add_parser("evaluate", help="error metrics and the fluctuation test")

@@ -82,8 +82,8 @@ class FitOptions:
         if isinstance(self.lam, str):
             if self.lam != "cv":
                 raise ValueError('lam must be a number or "cv"')
-        elif self.lam < 0.0:
-            raise ValueError("fixed lambda must be non-negative")
+        elif not 0.0 <= self.lam < math.inf:
+            raise ValueError("fixed lambda must be finite and non-negative")
 
 
 @dataclass(frozen=True, eq=False)

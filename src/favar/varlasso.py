@@ -21,7 +21,6 @@ keeps the check invariant to rescaling the data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +73,14 @@ class VarFit:
 class LambdaCvReport:
     """Penalty path (decreasing), per-fold validation scores, chosen index.
 
-    ``chosen`` minimises the mean validation score; ``one_se`` is the largest
-    penalty whose score stays within one standard error of that minimum, the
-    familiar sparser selection rule. ``knots`` counts the knots each fold's
-    row problems walked down their solution paths.
+    ``chosen`` minimises the mean validation score. ``knots`` counts the
+    knots each fold's row problems walked down their solution paths.
     """
 
     grid: np.ndarray
     fold_scores: np.ndarray        # n_folds x n_lambda
     mean_scores: np.ndarray
     chosen: int
-    one_se: int
     knots: np.ndarray              # n_folds x p
 
     def __post_init__(self):
@@ -96,10 +92,6 @@ class LambdaCvReport:
     @property
     def lam(self) -> float:
         return float(self.grid[self.chosen])
-
-    @property
-    def lam_one_se(self) -> float:
-        return float(self.grid[self.one_se])
 
 
 def kkt_gap(Gamma: np.ndarray, gamma_col: np.ndarray, beta: np.ndarray, lam: float) -> float:
@@ -291,8 +283,8 @@ def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_
     Each solution must then meet the KKT certificate: a gap of at most
     ``10 * tol`` times its column's largest ``|gamma|``.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     mu = 0.5 * lam
     B = np.zeros(gamma.shape)
     knots = np.zeros(gamma.shape[1], dtype=int)
@@ -416,14 +408,10 @@ def cv_lambda(
                 sse += np.bincount(g, weights=pair_sse, minlength=n_lambda)
         fold_scores[k] = sse / va_resp.size
     mean_scores = fold_scores.mean(axis=0)
-    chosen = int(np.argmin(mean_scores))  # first minimum, i.e. the largest lambda
-    se = float(fold_scores[:, chosen].std(ddof=1) / math.sqrt(n_folds))
-    one_se = int(np.flatnonzero(mean_scores <= mean_scores[chosen] + se)[0])
     return LambdaCvReport(
         grid=grid,
         fold_scores=fold_scores,
         mean_scores=mean_scores,
-        chosen=chosen,
-        one_se=one_se,
+        chosen=int(np.argmin(mean_scores)),  # first minimum, i.e. the largest lambda
         knots=knots,
     )

@@ -56,10 +56,12 @@ def test_simulate_round_trips_byte_identically(tmp_path):
 
 
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
-    dgp = write_dgp(tmp_path, bogus=1)
-    code = main(["simulate", "--dgp", str(dgp), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error:input:")
+    # the file may not set a seed: each replication's derives from --seed
+    for key in ("bogus", "seed"):
+        dgp = write_dgp(tmp_path, **{key: 1})
+        code = main(["simulate", "--dgp", str(dgp), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:input:")
 
 
 def test_estimate_artifact_layout(tmp_path):
@@ -69,7 +71,7 @@ def test_estimate_artifact_layout(tmp_path):
     out = tmp_path / "est"
     code = main([
         "estimate", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
-        "--r", "2", "--d", "1", "--tau-cv", "--n-lambda", "15", "--folds", "3",
+        "--r", "2", "--d", "1", "--tau", "cv", "--n-lambda", "15", "--n-folds", "3",
         "--out", str(out),
     ])
     assert code == 0
@@ -79,56 +81,56 @@ def test_estimate_artifact_layout(tmp_path):
     assert "tau" in summary and "lambda" in summary and "nonzeros" in summary
 
 
-def test_estimate_manifest_replays_identically(tmp_path):
-    dgp = write_dgp(tmp_path, n=100, p=8)
-    main(["simulate", "--dgp", str(dgp), "--reps", "1", "--seed", "5", "--out",
-          str(tmp_path / "sim")])
-    x_csv = str(tmp_path / "sim" / "rep_0000" / "x.csv")
-    first = tmp_path / "fit1"
-    main(["estimate", "--input", x_csv, "--r", "0", "--d", "1",
-          "--n-lambda", "10", "--folds", "3", "--out", str(first)])
-    manifest = json.loads((first / "manifest.json").read_text())
-    cfg = manifest["config"]
-    second = tmp_path / "fit2"
-    code = main([
-        "estimate", "--input", cfg["input"], "--r", str(cfg["r"]), "--d", str(cfg["d"]),
-        "--tau", format(cfg["tau"], ".17g"), "--lambda", format(cfg["lambda"], ".17g"),
-        "--out", str(second),
-    ])
-    assert code == 0
-    # numeric artifacts replay bit for bit; summary.txt differs only in the
-    # cv-vs-fixed provenance labels
-    first_files = read_bytes(first)
-    second_files = read_bytes(second)
-    first_files.pop("summary.txt")
-    second_files.pop("summary.txt")
-    assert first_files == second_files
+def replay_argv(manifest: dict, out) -> list[str]:
+    """The command line that reruns a run from its manifest alone: config key
+    ``k`` is the flag ``--k``, a true value the bare flag, false and null
+    values none."""
+    argv = [manifest["subcommand"]]
+    for key, value in manifest["config"].items():
+        if value is None or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv + ["--out", str(out)]
 
 
-def test_forecast_manifest_replays_identically(tmp_path):
-    dgp = write_dgp(tmp_path, n=66, p=4)
-    main(["simulate", "--dgp", str(dgp), "--reps", "1", "--seed", "4", "--out",
-          str(tmp_path / "sim")])
-    first = tmp_path / "fc1"
-    main(["forecast", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
-          "--window", "60", "--r", "0", "--tau-grid-size", "8", "--n-lambda", "6",
-          "--folds", "3", "--out", str(first)])
-    cfg = json.loads((first / "manifest.json").read_text())["config"]
-    second = tmp_path / "fc2"
-    argv = [
-        "forecast", "--input", cfg["input"], "--window", str(cfg["window"]),
-        "--horizon", str(cfg["horizon"]), "--order", str(cfg["d"]), "--r", str(cfg["r"]),
-        "--r-max", str(cfg["r_max"]), "--tau-grid-size", str(cfg["tau_grid_size"]),
-        "--n-lambda", str(cfg["n_lambda"]), "--folds", str(cfg["n_folds"]),
-        "--out", str(second),
-    ]
-    argv += ["--tau-cv"] if cfg["tau"] == "cv" else ["--tau", format(cfg["tau"], ".17g")]
-    argv += ["--lambda-cv"] if cfg["lam"] == "cv" else ["--lambda", format(cfg["lam"], ".17g")]
-    argv += ["--reselect-r"] * cfg["reselect_r"] + ["--fixed-tau"] * (not cfg["reselect_tau"])
-    argv += ["--no-header"] * cfg["no_header"] + ["--baseline"] * cfg["baseline"]
-    assert main(argv) == 0
-    for name in ("forecasts.csv", "fe.csv"):
-        assert (second / name).read_bytes() == (first / name).read_bytes()
+REPLAY_RUNS = {
+    "estimate-cv": ["estimate", "--input", "x.csv", "--tau-grid-size", "8",
+                    "--n-lambda", "10", "--n-folds", "3"],
+    "estimate-fixed": ["estimate", "--input", "x.csv", "--tau", "inf", "--lambda", "0.05"],
+    "forecast": ["forecast", "--input", "x.csv", "--window", "60", "--tau-grid-size", "8",
+                 "--n-lambda", "6", "--n-folds", "3", "--baseline", "--fixed-tau"],
+    "cv-tau": ["cv-tau", "--input", "x_bare.csv", "--no-header", "--tau-grid-size", "10"],
+    "fluctuation": ["evaluate", "--metric", "fluctuation", "--fe-a", "fa.csv",
+                    "--fe-b", "fb.csv", "--mu", "0.25", "--plot"],
+    "rme": ["evaluate", "--metric", "rme", "--norm", "l2", "--errs-a", "a.csv",
+            "--errs-b", "b.csv"],
+}
+
+
+@pytest.mark.parametrize("name", REPLAY_RUNS)
+def test_manifest_replays_identically(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    main(["simulate", "--dgp", str(write_dgp(tmp_path, n=66, p=4)), "--seed", "4",
+          "--out", "sim"])
+    x_lines = Path("sim/rep_0000/x.csv").read_text().splitlines(keepends=True)
+    Path("x.csv").write_text("".join(x_lines))
+    Path("x_bare.csv").write_text("".join(x_lines[1:]))
+    rng = np.random.default_rng(0)
+    for fe in ("fa.csv", "fb.csv"):
+        rows = [f"{i},{abs(rng.standard_normal()):.6f},{abs(rng.standard_normal()):.6f}"
+                for i in range(80)]
+        Path(fe).write_text("\n".join(["origin,V1,V2", *rows]) + "\n")
+    Path("a.csv").write_text("err\n0.5\n1.5\n")
+    Path("b.csv").write_text("err\n1.0\n1.0\n")
+
+    assert main([*REPLAY_RUNS[name], "--out", "first"]) == 0
+    manifest = json.loads(Path("first/manifest.json").read_text())
+    assert main(replay_argv(manifest, "second")) == 0
+    first = read_bytes(tmp_path / "first")
+    assert first and first == read_bytes(tmp_path / "second")
+    assert json.loads(Path("second/manifest.json").read_text()) == manifest
 
 
 def test_cv_tau_subcommand(tmp_path, capsys):
@@ -152,7 +154,7 @@ def test_forecast_outputs_and_baseline_alignment(tmp_path):
     out = tmp_path / "fc"
     code = main([
         "forecast", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
-        "--window", "60", "--horizon", "1", "--order", "1", "--r", "0",
+        "--window", "60", "--horizon", "1", "--d", "1", "--r", "0",
         "--tau", "inf", "--lambda", "0.1", "--out", str(out), "--baseline",
     ])
     assert code == 0
@@ -174,7 +176,7 @@ def test_forecast_baseline_written_on_shared_origins(tmp_path):
     out = tmp_path / "fc"
     code = main([
         "forecast", "--input", str(tmp_path / "x.csv"), "--window", "30", "--r", "0",
-        "--tau-grid-size", "8", "--n-lambda", "6", "--folds", "3", "--out", str(out),
+        "--tau-grid-size", "8", "--n-lambda", "6", "--n-folds", "3", "--out", str(out),
         "--baseline",
     ])
     assert code == 0
@@ -196,6 +198,21 @@ def test_evaluate_rme_formatting_contract(tmp_path, capsys):
                  "--errs-a", str(tmp_path / "a.csv"), "--errs-b", str(tmp_path / "b.csv")])
     assert code == 0
     assert capsys.readouterr().out.strip() == "rme max 0.5"
+
+
+def test_evaluate_rme_refuses_unparsable_data_cells(tmp_path, capsys):
+    # only line 1 may be a header; a bad cell further down is no row to skip
+    (tmp_path / "b.csv").write_text("err\n1.0\n2.0\n3.0\n")
+    argv = ["evaluate", "--metric", "rme", "--errs-a", str(tmp_path / "a.csv"),
+            "--errs-b", str(tmp_path / "b.csv")]
+    for text, lineno in (("err\n1.0\n2.0\nabc\n3.0\n", 4), ("err\n1.0\n2.0,x\n3.0\n", 3)):
+        (tmp_path / "a.csv").write_text(text)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and f"a.csv:{lineno}:" in err
+    (tmp_path / "a.csv").write_text("err\n2.0\n4.0\n6.0\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "rme max 2"
 
 
 def test_evaluate_fluctuation_outputs(tmp_path, capsys):
@@ -374,7 +391,7 @@ def test_unexpected_exception_reports_internal_error(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == "error:internal: RuntimeError: boom\n"
 
 
-def test_cv_flags_win_over_fixed_values_in_estimate_and_forecast(tmp_path, monkeypatch):
+def test_tau_and_lambda_flags_reach_fit_options(tmp_path, monkeypatch, capsys):
     (tmp_path / "x.csv").write_text(
         "a,b\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(30)) + "\n"
     )
@@ -386,11 +403,20 @@ def test_cv_flags_win_over_fixed_values_in_estimate_and_forecast(tmp_path, monke
 
     monkeypatch.setattr(cli, "fit", capture)
     monkeypatch.setattr(cli, "rolling_forecast", capture)
-    flags = ["--input", str(tmp_path / "x.csv"), "--tau", "2", "--tau-cv",
-             "--lambda", "0.1", "--lambda-cv", "--out", str(tmp_path / "o")]
-    main(["estimate", *flags])
+    flags = ["--input", str(tmp_path / "x.csv"), "--out", str(tmp_path / "o")]
+    main(["estimate", *flags, "--tau", "cv", "--lambda", "cv"])
+    main(["forecast", "--window", "20", *flags, "--tau", "cv", "--lambda", "cv"])
+    main(["estimate", *flags, "--tau", "inf", "--lambda", "0.1"])
     main(["forecast", "--window", "20", *flags])
-    assert [(o.tau, o.lam) for o in seen] == [("cv", "cv"), ("cv", "cv")]
+    assert [(o.tau, o.lam) for o in seen] == [
+        ("cv", "cv"), ("cv", "cv"), (math.inf, 0.1), ("cv", "cv"),
+    ]
+    capsys.readouterr()
+    # a word the flag does not take, or a value the options refuse
+    for bad in (["--tau", "auto"], ["--lambda", "x"], ["--r", "cv"], ["--r", "-1"],
+                ["--tau", "0"], ["--lambda", "inf"], ["--lambda", "nan"]):
+        assert main(["estimate", *flags, *bad]) == 2
+        assert capsys.readouterr().err.startswith("error:usage:")
 
 
 def test_removed_flags_report_usage_error(tmp_path, capsys):
@@ -401,6 +427,12 @@ def test_removed_flags_report_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:usage:")
     assert main(["estimate", "--input", "x.csv", "--cv-lags", "2", "--out", "o"]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
+    for flag, value in (("--tau-cv", None), ("--lambda-cv", None), ("--order", "1"),
+                        ("--folds", "3"), ("--factors", "2")):
+        for command in ("estimate", "forecast"):
+            argv = [command, "--input", "x.csv", flag, *([value] if value else []), "--out", "o"]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error:usage:")
 
 
 def test_manifests_carry_no_thread_count(tmp_path):

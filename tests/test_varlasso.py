@@ -138,6 +138,14 @@ def test_fit_var_huge_lambda_gives_zero_matrix():
     assert all(a.size == 0 for a in fit.active_set)
 
 
+def test_fit_var_refuses_penalty_that_is_not_finite():
+    # NaN coefficients would pass the KKT certificate, whose gap test is false on NaN
+    gram = random_gram(8, p=4)
+    for lam in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="lambda"):
+            fit_var(gram, lam)
+
+
 def test_fit_var_block_shapes():
     gram = random_gram(9, p=3, d=2, n=100)
     fit = fit_var(gram, 0.05)
@@ -154,7 +162,10 @@ def test_banded_support_recovery_with_cv_lambda():
         spec = DgpSpec(n=2000, p=10, var_design="banded", factor_design="none", seed=seed)
         panel = simulate_panel(spec)
         report = cv_lambda(panel.xi, d=1, n_lambda=30, n_folds=5)
-        fit = fit_var(build_gram(panel.xi, 1), report.lam_one_se)
+        folds = report.fold_scores.shape[0]
+        se = report.fold_scores[:, report.chosen].std(ddof=1) / np.sqrt(folds)
+        one_se = np.flatnonzero(report.mean_scores <= report.mean_scores[report.chosen] + se)[0]
+        fit = fit_var(build_gram(panel.xi, 1), float(report.grid[one_se]))
         true_support = panel.A != 0.0
         false_negatives = np.count_nonzero(true_support & (fit.A == 0.0))
         false_positives = np.count_nonzero(~true_support & (fit.A != 0.0))
