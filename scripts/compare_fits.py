@@ -20,7 +20,16 @@ largest relative difference of the forecasts and RMEs are printed instead,
 and iteration counts are not compared (sweeps and knots count different
 things).
 
-    python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--same-choices]
+With ``--rounding``, for two trees that walk the same lasso paths with
+different arithmetic, the tuning choices, ``var.iterations``, the lambda-CV
+path knots and the forecast origins and truncation levels must be equal,
+and the lambda-CV fold scores, ``var.A``, the forecasts and the RME ratios
+must agree to ``ROUNDING_BOUND`` (1e-10) relative: fold scores and RME
+ratios entry by entry, ``var.A`` and the forecasts relative to their largest
+magnitude, since entries near zero carry no relative precision. The largest
+differences are printed.
+
+    python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--same-choices | --rounding]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``favar`` package,
 such as the ``src`` of two checkouts. Exits 1 if any required equality
@@ -124,8 +133,10 @@ def run_tree(src: str) -> dict:
         return pickle.loads(Path(out.name).read_bytes())
 
 
-# outputs that are tuning choices, equal in both modes
+# outputs that are tuning choices, equal in every mode
 CHOICE_OUTPUTS = ("origins", "taus")
+# largest relative difference --rounding accepts
+ROUNDING_BOUND = 1e-10
 
 
 def relative_difference(a, b) -> float:
@@ -133,6 +144,59 @@ def relative_difference(a, b) -> float:
     diff = np.abs(np.asarray(b, float) - np.asarray(a, float))
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.max(np.where(diff == 0.0, 0.0, diff / np.abs(a)), initial=0.0))
+
+
+def scaled_difference(a, b) -> float:
+    """Largest ``|b - a|`` over the largest ``|a|``; equal arrays count 0."""
+    diff = np.max(np.abs(np.asarray(b, float) - np.asarray(a, float)), initial=0.0)
+    with np.errstate(divide="ignore"):
+        return 0.0 if diff == 0.0 else float(diff / np.max(np.abs(a), initial=0.0))
+
+
+def compare_rounding(old: dict, new: dict) -> list[str]:
+    """``--rounding``: equal choices, iterations and knots; values within ``ROUNDING_BOUND``."""
+    problems = []
+
+    def bounded(where, what, value):
+        if not value <= ROUNDING_BOUND:
+            problems.append(f"{where}: {what} differs by {value:.3e} relative")
+        return value
+
+    for name in old:
+        o, n = old[name], new[name]
+        if len(o["fits"]) != len(n["fits"]):
+            problems.append(f"{name}: {len(o['fits'])} fits vs {len(n['fits'])}")
+            continue
+        if o["path_knots"] != n["path_knots"]:
+            problems.append(f"{name}: path knots {o['path_knots']} vs {n['path_knots']}")
+        worst = worst_A = worst_out = 0.0
+        for i, (a, b) in enumerate(zip(o["fits"], n["fits"])):
+            where = f"{name} fit {i}"
+            for key in ("tau", "lambda", "r", "tau_index", "lambda_index"):
+                if a[key] != b[key]:
+                    problems.append(f"{where}: {key} {a[key]!r} vs {b[key]!r}")
+            if not np.array_equal(a["iterations"], b["iterations"]):
+                problems.append(f"{where}: var.iterations differ")
+            worst_A = max(worst_A, bounded(where, "var.A", scaled_difference(a["A"], b["A"])))
+            if a["fold_scores"] is not None:
+                diff = relative_difference(a["fold_scores"], b["fold_scores"])
+                worst = max(worst, bounded(where, "lambda-CV fold scores", diff))
+        for key, a in o["outputs"].items():
+            b = n["outputs"].get(key)
+            if key in CHOICE_OUTPUTS or np.shape(a) != np.shape(b):
+                if not np.array_equal(a, b):
+                    problems.append(f"{name}: {key} differs")
+                continue
+            diff = relative_difference(a, b) if np.ndim(a) == 0 else scaled_difference(a, b)
+            worst_out = max(worst_out, bounded(name, key, diff))
+        if o["outputs"]:
+            print(f"{name}: compared {', '.join(o['outputs'])}")
+        print(
+            f"{name}: {len(o['fits'])} fits; path knots {o['path_knots']} -> "
+            f"{n['path_knots']}; largest relative difference: fold scores {worst:.2e}, "
+            f"var.A {worst_A:.2e}, outputs {worst_out:.2e}"
+        )
+    return problems
 
 
 def compare(old: dict, new: dict, same_choices: bool = False) -> list[str]:
@@ -192,10 +256,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", nargs="?")
     ap.add_argument("new_src", nargs="?")
-    ap.add_argument(
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument(
         "--same-choices", action="store_true",
         help="require equal choices and fold scores only; report coefficient and output "
         "differences",
+    )
+    mode.add_argument(
+        "--rounding", action="store_true",
+        help=f"require equal choices, iterations and knots, and fold scores, coefficients "
+        f"and outputs within {ROUNDING_BOUND:g} relative",
     )
     ap.add_argument("--collect", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -204,10 +274,17 @@ def main() -> int:
         return 0
     if not (args.old_src and args.new_src):
         ap.error("need OLD_SRC and NEW_SRC")
-    problems = compare(run_tree(args.old_src), run_tree(args.new_src), args.same_choices)
+    old, new = run_tree(args.old_src), run_tree(args.new_src)
+    if args.rounding:
+        problems = compare_rounding(old, new)
+    else:
+        problems = compare(old, new, args.same_choices)
     for line in problems:
         print(f"DIFF {line}")
-    same = "same choices" if args.same_choices else "identical fits"
+    same = (
+        "same paths up to rounding" if args.rounding
+        else "same choices" if args.same_choices else "identical fits"
+    )
     print(same if not problems else f"{len(problems)} differences")
     return 1 if problems else 0
 

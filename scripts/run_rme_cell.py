@@ -4,8 +4,9 @@ Usage:
     python scripts/run_rme_cell.py --config cell.txt --out runs/cell --reps 200
 
 The config file uses the same flat key = value format as the CLI, with the
-DGP keys (n, p, var_design, innovation, nu, factor_design, r, sigma_eps,
-burn_in) plus optional estimation keys (d, n_lambda, n_folds, tau_grid_size).
+DGP keys (every ``DgpSpec`` field but ``seed``: n, p, var_design, innovation,
+nu, factor_design, r, sigma_eps, burn_in) plus optional estimation keys (d,
+n_lambda, n_folds, tau_grid_size).
 Replications run in order in one process, are persisted as JSON and are
 skipped on re-runs, so an interrupted sweep resumes where it stopped. The full 200-replication reproduction of the
 no-factor tables is exactly:
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -30,19 +32,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from favar.cli import ExperimentConfig, parse_config, run_experiment  # noqa: E402
 from favar.simulate import DgpSpec  # noqa: E402
 
-DGP_KEYS = {"n", "p", "var_design", "innovation", "nu", "factor_design", "r",
-            "sigma_eps", "burn_in"}
+DGP_KEYS = {f.name for f in fields(DgpSpec)} - {"seed"}
 EST_KEYS = {"d", "n_lambda", "n_folds", "tau_grid_size"}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--reps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--norms", default="max_elementwise,l2_col_max")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     raw = parse_config(args.config)
     unknown = set(raw) - DGP_KEYS - EST_KEYS

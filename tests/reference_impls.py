@@ -118,3 +118,14 @@ def loop_max_row_l2(a, b):
             acc += (a[i, j] - b[i, j]) ** 2
         worst = max(worst, acc**0.5)
     return worst
+
+
+def fresh_active_solution(Gamma, gamma_col, active, signs):
+    """Solve Gamma_AA [u v] = [gamma_A signs] afresh; u and v are zero off A."""
+    u = np.zeros(gamma_col.shape[0])
+    v = np.zeros(gamma_col.shape[0])
+    if len(active):
+        block = Gamma[np.ix_(active, active)]
+        u[active] = np.linalg.solve(block, gamma_col[active])
+        v[active] = np.linalg.solve(block, signs)
+    return u, v

@@ -1,6 +1,7 @@
+import importlib.util
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,37 @@ def experiment_config(tmp_path, reps=2, threads=1, tau="cv"):
         threads=threads,
         out=tmp_path,
     )
+
+
+def load_cell_runner():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_rme_cell.py"
+    spec = importlib.util.spec_from_file_location("run_rme_cell", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cell_runner_accepts_every_dgp_field_but_seed(tmp_path, monkeypatch, capsys):
+    # every DgpSpec field reaches the cell's DgpSpec, set away from its default;
+    # the seed is refused, as each replication's derives from --seed
+    runner = load_cell_runner()
+    values = {
+        "n": 60, "p": 6, "var_design": "erdos_renyi", "innovation": "student_t", "nu": 2.5,
+        "factor_design": "var1_factors", "r": 2, "sigma_eps": "power_decay", "burn_in": 100,
+    }
+    assert set(values) == {f.name for f in fields(DgpSpec)} - {"seed"}
+    seen = []
+    monkeypatch.setattr(runner, "run_experiment", lambda cfg, verbose: seen.append(cfg) or {})
+    config = tmp_path / "cell.txt"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    argv = ["--config", str(config), "--out", str(tmp_path / "cell"), "--reps", "1"]
+    assert runner.main(argv) == 0
+    assert seen[0].dgp == DgpSpec(seed=0, **values)
+    config.write_text(config.read_text() + "seed = 3\n")
+    with pytest.raises(SystemExit) as exc_info:
+        runner.main(argv)
+    assert exc_info.value.code == 2
+    assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
 
 def test_run_experiment_identical_arms_give_unit_rme(tmp_path):

@@ -7,7 +7,7 @@ from favar.simulate import DgpSpec, simulate_panel
 from favar.varlasso import (
     ConvergenceError,
     _LAMBDA_DEPTH,
-    _active_solve,
+    _ActiveInverses,
     _cv_folds,
     _lasso_path,
     cv_lambda,
@@ -16,7 +16,12 @@ from favar.varlasso import (
     lasso_row,
 )
 
-from reference_impls import lasso_objective, loop_kkt_gap, proximal_gradient_lasso
+from reference_impls import (
+    fresh_active_solution,
+    lasso_objective,
+    loop_kkt_gap,
+    proximal_gradient_lasso,
+)
 
 
 def random_gram(seed, p=4, d=1, n=200):
@@ -253,16 +258,21 @@ def test_fit_var_certifies_small_penalties_on_rank_deficient_factor_gram():
             assert gap <= 10 * 1e-7 * scale[j]
 
 
-def test_active_solve_singular_block_spares_the_rest_of_the_batch():
-    # coordinates 0 and 1 are duplicates, so column 0's active block is
-    # exactly singular; it gets the min-norm solution, the others their own
+def test_singular_join_refactorises_its_column_and_spares_the_rest_of_the_batch():
+    # coordinates 0 and 1 are duplicates, so column 0's block turns exactly
+    # singular when 1 joins: that column is refactorised with pinv, also when
+    # 5 leaves again, and gets the min-norm solution; the others are updated
     rng = np.random.default_rng(16)
     Z = rng.standard_normal((200, 5))
     X = np.column_stack([Z[:, 0], Z])
     Gamma = X.T @ X / 200
     gamma = rng.standard_normal((6, 3))
-    S = np.array([[1, 0, 0], [1, 1, 0], [0, -1, 1], [0, 1, 1], [0, 0, -1], [0, 0, 0]], float)
-    U, V = _active_solve(Gamma, gamma, S, np.arange(3))
+    inv = _ActiveInverses(Gamma, np.array([0, 1, 4]))
+    for k in ([5, 2, 3], [1, 3, 2], [5, 4, 1]):
+        inv.toggle(np.array(k))
+    S = np.array([[1, 0, 0], [1, 1, -1], [0, -1, 1], [0, 1, 1], [0, 1, -1], [0, 0, 0]], float)
+    U, V = inv.solve(gamma, S, np.arange(3))
+    assert inv.pinned.tolist() == [True, False, False]
     for j in (1, 2):
         A = np.flatnonzero(S[:, j])
         expected = np.linalg.solve(Gamma[np.ix_(A, A)], np.column_stack([gamma[A, j], S[A, j]]))
@@ -271,6 +281,41 @@ def test_active_solve_singular_block_spares_the_rest_of_the_batch():
     assert U[0, 0] == pytest.approx((gamma[0, 0] + gamma[1, 0]) / (4 * Gamma[0, 0]))
     assert U[0, 0] == pytest.approx(U[1, 0]) and V[0, 0] == pytest.approx(V[1, 0])
     assert np.all(U[2:, 0] == 0.0) and np.all(U[[0, 5], 1:] == 0.0)
+
+
+def leaves_after_matching_fresh_solves(Gamma, gamma, mu_stop, rtol):
+    """Check every knot's maintained U and V against its active block solved afresh.
+
+    The active set of a segment is the support of its V, and its signs are
+    those of Gamma_AA V_A, which the path keeps at s_A. Returns the number of
+    leave events seen.
+    """
+    size = np.zeros(gamma.shape[1], dtype=int)
+    leaves = 0
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_stop, 1000):
+        for i in np.flatnonzero(hi < np.inf):
+            j = cols[i]
+            A = np.flatnonzero(V[:, i])
+            signs = np.sign(Gamma[np.ix_(A, A)] @ V[A, i])
+            u, v = fresh_active_solution(Gamma, gamma[:, j], A, signs)
+            assert np.max(np.abs(U[:, i] - u)) <= rtol * np.max(np.abs(u))
+            assert np.max(np.abs(V[:, i] - v)) <= rtol * np.max(np.abs(v))
+            leaves += A.size < size[j]
+            size[j] = A.size
+    return leaves
+
+
+def test_updated_inverses_match_fresh_solves_at_every_knot():
+    # the rank-one updates accumulate rounding; on the rank-deficient factor
+    # Gram walked to lambda = 0 and on the criterion 4 Gaussian design walked
+    # to the lambda-CV depth, both with leave events, every knot stays within
+    # 1e-11 of a fresh solve (about 1e-13 is seen)
+    gram = factor_gram()
+    assert leaves_after_matching_fresh_solves(gram.Gamma, gram.gamma, 0.0, 1e-11) > 0
+    spec = DgpSpec(n=100, p=50, var_design="banded", factor_design="none", seed=0)
+    gram = build_gram(simulate_panel(spec).xi, 1)
+    mu_stop = _LAMBDA_DEPTH * np.max(np.abs(gram.gamma))
+    assert leaves_after_matching_fresh_solves(gram.Gamma, gram.gamma, mu_stop, 1e-11) > 0
 
 
 def test_lasso_path_two_events_on_one_knot():
