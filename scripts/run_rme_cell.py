@@ -5,8 +5,9 @@ Usage:
 
 The config file uses the same flat key = value format as the CLI, with the
 DGP keys (every ``DgpSpec`` field but ``seed``: n, p, var_design, innovation,
-nu, factor_design, r, sigma_eps, burn_in) plus optional estimation keys (d,
-n_lambda, n_folds, tau_grid_size).
+nu, factor_design, r, sigma_eps, burn_in) plus optional estimation keys
+(every ``ExperimentConfig`` field this script does not set itself: d, tau,
+tau_grid_size, n_lambda, n_folds).
 Replications run in order in one process, are persisted as JSON and are
 skipped on re-runs, so an interrupted sweep resumes where it stopped. The full 200-replication reproduction of the
 no-factor tables is exactly:
@@ -33,7 +34,11 @@ from favar.cli import ExperimentConfig, parse_config, run_experiment  # noqa: E4
 from favar.simulate import DgpSpec  # noqa: E402
 
 DGP_KEYS = {f.name for f in fields(DgpSpec)} - {"seed"}
-EST_KEYS = {"d", "n_lambda", "n_folds", "tau_grid_size"}
+# the runner sets the DGP, --reps, --seed, --norms and --out itself, and
+# ExperimentConfig ignores threads
+EST_KEYS = {f.name for f in fields(ExperimentConfig)} - {
+    "dgp", "reps", "seed", "norms", "out", "threads"
+}
 
 
 def main(argv: list[str] | None = None) -> int:

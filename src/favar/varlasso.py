@@ -17,8 +17,10 @@ its block: O(|A|^2) work per knot, not O(|A|^3). A join that leaves the
 block singular to working precision pins its problem to refactorising with
 ``pinv``, the min-norm solution, from then on. ``fit_var`` and
 ``lasso_row`` walk down to one penalty and read the solution off the
-segment that holds it; ``cv_lambda`` reads every grid penalty off the same
-walk. ``max_iter`` bounds the knots.
+segment that holds it; ``cv_lambda`` stacks the row problems of several
+training folds as the columns of one walk, each column reading its own
+fold's Gram matrix, and reads every grid penalty off it. ``max_iter`` bounds
+the knots.
 The path is exact up to rounding, so ``tol`` is no stopping rule but a
 certificate checked once at the end: a row's first-order optimality (KKT)
 gap must be at most ``10 * tol`` times its largest ``|gamma_j|``, which
@@ -132,9 +134,13 @@ def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 # lambda path depth: the grid runs down to this fraction of its largest value
 _LAMBDA_DEPTH = 1e-3
-# columns whose event candidates are searched together; bounds the memory of
-# the candidate stack
-_SEARCH_BLOCK = 16
+# column-coordinates whose event candidates are searched together: a block
+# holds _SEARCH_BLOCK // pd columns (16 at pd = 300), which bounds the memory
+# of the candidate stack, 3 x pd per column, whatever pd is
+_SEARCH_BLOCK = 16 * 300
+# doubles the inverse stack of one lambda-CV walk may reach in the worst case,
+# every column's active set at pd (1 MiB): it sets how many folds walk at once
+_FOLD_STACK = 2**17
 # a coordinate joins a path only above this fraction of its column's largest
 # |gamma| (see _lasso_path)
 _JOIN_FLOOR = 1e-12
@@ -143,15 +149,31 @@ _JOIN_FLOOR = 1e-12
 _SCHUR_FLOOR = 1e-10
 
 
+def _fold_products(Gamma: np.ndarray, fold: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``Gamma[fold[i]] @ X[..., i]`` for every column i of ``X`` (..., pd, m).
+
+    One product per run of equal ``fold``, so one per fold present when the
+    columns come in fold order, as every walk keeps them.
+    """
+    out = np.empty(X.shape)
+    cuts = [0, *(np.flatnonzero(fold[1:] != fold[:-1]) + 1), fold.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        out[..., lo:hi] = Gamma[fold[lo]] @ X[..., lo:hi]
+    return out
+
+
 class _ActiveInverses:
     """Each walking column's active set and the inverse of its active Gram block.
 
-    Row i of the stack serves one column: its active coordinates
-    ``idx[i, :size[i]]`` in slot order and ``H[i]``, the inverse of Gamma on
-    them in that order. The stack is padded to its largest live active set,
-    with index -1 and zero rows and columns of ``H``. An event toggles one
-    coordinate k and updates ``H[i]`` by one rank-one step ``H += w z z'``,
-    batched over the rows (Hager 1989):
+    ``Gamma`` is a stack of Gram matrices, (F, pd, pd), and row i of the
+    inverse stack serves one column, which reads Gamma only from its fold
+    ``fold[i]``: its active coordinates ``idx[i, :size[i]]`` in slot order
+    and ``H[i]``, the inverse of its Gamma on them in that order. A single
+    (pd, pd) Gamma is a stack of one, and ``fold`` defaults to it. The stack
+    is padded to its largest live active set, with index -1 and zero rows
+    and columns of ``H``. An event toggles one coordinate k and updates
+    ``H[i]`` by one rank-one step ``H += w z z'``, batched over the rows
+    (Hager 1989):
 
     - a join borders the inverse: with a = Gamma[A, k], b = H a and the Schur
       complement s = Gamma_kk - a'b, z = [b; -1] and w = 1 / s;
@@ -165,18 +187,19 @@ class _ActiveInverses:
     gets the min-norm solution.
     """
 
-    def __init__(self, Gamma: np.ndarray, first: np.ndarray):
-        self.Gamma = Gamma
+    def __init__(self, Gamma: np.ndarray, first: np.ndarray, fold: np.ndarray | None = None):
+        self.Gamma = Gamma.reshape((-1,) + Gamma.shape[-2:])
+        self.fold = np.zeros(first.size, dtype=int) if fold is None else fold
         self.idx = first[:, None].copy()
         self.size = np.ones(first.size, dtype=int)
-        self.H = (1.0 / Gamma[first, first])[:, None, None]
+        self.H = (1.0 / self.Gamma[self.fold, first, first])[:, None, None]
         self.pinned = np.zeros(first.size, dtype=bool)
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only ``rows`` of the stack, trimmed to their largest active set."""
         w = int(self.size[rows].max(initial=0))
         self.H, self.idx = self.H[rows, :w, :w], self.idx[rows, :w]
-        self.size, self.pinned = self.size[rows], self.pinned[rows]
+        self.size, self.pinned, self.fold = self.size[rows], self.pinned[rows], self.fold[rows]
 
     def toggle(self, k: np.ndarray) -> None:
         """Row i's coordinate ``k[i]`` joins its active set if outside it, else leaves."""
@@ -190,7 +213,7 @@ class _ActiveInverses:
             idx = np.full((n, width + 1), -1)
             idx[:, :width] = self.idx
             self.H, self.idx = H, idx
-        H, idx, Gamma = self.H, self.idx, self.Gamma
+        H, idx, Gamma, fold = self.H, self.idx, self.Gamma, self.fold
         rows = np.arange(n)
         lv = np.flatnonzero(leave)
         if lv.size:
@@ -199,9 +222,10 @@ class _ActiveInverses:
             H[lv, :, q], H[lv, :, e] = H[lv, :, e], H[lv, :, q]
             idx[lv, q] = idx[lv, e]
         idx[rows, end] = k
-        a = Gamma[idx, k[:, None]]  # pad slots, and a joining k's own, meet zero columns of H
+        # pad slots, and a joining k's own, meet zero columns of H
+        a = Gamma[fold[:, None], idx, k[:, None]]
         z = np.where(leave[:, None], H[rows, :, end], np.matmul(H, a[:, :, None])[:, :, 0])
-        gkk = Gamma[k, k]
+        gkk = Gamma[fold, k, k]
         s = gkk - np.sum(a * z, axis=1)
         self.pinned |= ~leave & (s <= _SCHUR_FLOOR * gkk)
         d = np.where(leave, -z[rows, end], s)
@@ -216,12 +240,12 @@ class _ActiveInverses:
         for i in np.flatnonzero(self.pinned):
             A = idx[i, : self.size[i]]
             H[i] = 0.0
-            H[i, : A.size, : A.size] = np.linalg.pinv(Gamma[np.ix_(A, A)])
+            H[i, : A.size, : A.size] = np.linalg.pinv(Gamma[fold[i]][np.ix_(A, A)])
 
     def solve(self, gamma: np.ndarray, S: np.ndarray, cols: np.ndarray):
         """``Gamma_AA^-1 [gamma_A s_A]`` for each row's column ``cols[i]`` and active set A.
 
-        ``S`` holds the active signs. Returns ``U`` and ``V``, pd x len(cols),
+        ``S`` holds the active signs. Returns ``[U, V]``, 2 x pd x len(cols),
         zero off each active set.
         """
         idx, c = self.idx, cols[:, None]
@@ -232,11 +256,22 @@ class _ActiveInverses:
         # pad slots scatter their zeros to an extra last row
         UV = np.zeros((2, gamma.shape[0] + 1, cols.size))
         UV[:, idx, np.arange(cols.size)[:, None]] = np.moveaxis(sol, -1, 0)
-        return UV[0, :-1], UV[1, :-1]
+        return UV[:, :-1]
 
 
-def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: int):
+def _lasso_path(
+    Gamma: np.ndarray,
+    gamma: np.ndarray,
+    mu_stop: float,
+    max_iter: int,
+    fold: np.ndarray | None = None,
+):
     """Walk the exact solution path of every column of ``gamma`` down to ``mu_stop``.
+
+    ``Gamma`` is a stack of Gram matrices, (F, pd, pd), and column j of
+    ``gamma`` is the moment vector of a row problem on ``Gamma[fold[j]]``,
+    so one walk can carry the row problems of several lambda-CV folds. A
+    single (pd, pd) Gamma is a stack of one, and ``fold`` defaults to it.
 
     A generator of segments ``(cols, hi, lo, U, V)``: for mu in
     ``[lo[i], hi[i])`` the solution of column ``cols[i]`` at lambda = 2 mu is
@@ -253,7 +288,9 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
     linear too, so the next event of each coordinate has a closed form.
     Events due at or above the current knot (ties, rounding) happen at it.
     The coordinate that changed at a knot is barred only from undoing that
-    change there: it may still re-enter later with the opposite sign.
+    change there: it may still re-enter later with the opposite sign. The
+    event search runs over blocks of ``_SEARCH_BLOCK // pd`` columns, with
+    one product ``Gamma_f [U V]`` per fold f present in a block.
 
     ``U`` and ``V`` come from ``_ActiveInverses``: each walking column's
     active-block inverse, updated by one rank-one step per knot, and
@@ -269,8 +306,12 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
     way exceeds mu by at most the floor on the rest of the segment, so its
     KKT violation is at most twice the floor.
     """
+    Gamma = Gamma.reshape((-1,) + Gamma.shape[-2:])
     pd_, m = gamma.shape
-    live = _live_coordinates(Gamma, gamma)
+    fold = np.zeros(m, dtype=int) if fold is None else np.asarray(fold)
+    live = np.stack([
+        _live_coordinates(G, np.where(fold == f, gamma, 0.0)) for f, G in enumerate(Gamma)
+    ])
     mu = np.abs(gamma).max(axis=0, initial=0.0)
     floor = _JOIN_FLOOR * mu
     zeros = np.zeros((pd_, m))
@@ -285,27 +326,28 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
     bar_kind = np.full(m, 2)
     bar_coord = np.zeros(m, dtype=int)
     bar_coord[cols] = last
-    inv = _ActiveInverses(Gamma, last)
+    inv = _ActiveInverses(Gamma, last, fold[cols])
     sigma = np.array([1.0, -1.0])[:, None, None]
+    width = max(1, _SEARCH_BLOCK // pd_)
     for _ in range(max_iter):
         if cols.size == 0:
             return
-        U, V = inv.solve(gamma, S, cols)
+        UV = inv.solve(gamma, S, cols)
+        U, V = UV
         hi = mu[cols]
         event = np.empty(cols.size, dtype=int)
         lo = np.empty(cols.size)
-        # the event search runs _SEARCH_BLOCK columns at a time: its candidate
-        # stack is 3 x pd per column
-        for start in range(0, cols.size, _SEARCH_BLOCK):
-            blk = slice(start, start + _SEARCH_BLOCK)
+        # the candidate stack of a block of columns is 3 x pd per column
+        for start in range(0, cols.size, width):
+            blk = slice(start, start + width)
             c, Ub, Vb = cols[blk], U[:, blk], V[:, blk]
-            CU = gamma[:, c] - Gamma @ Ub
-            CV = Gamma @ Vb
+            GU, CV = _fold_products(Gamma, fold[c], UV[:, :, blk])
+            CU = gamma[:, c] - GU
             Sc = S[:, c]
             with np.errstate(divide="ignore", invalid="ignore"):
                 slope = 1.0 - sigma * CV
                 join = np.where(
-                    (Sc == 0.0) & live[:, None] & (slope > 0.0) & (sigma * CU > floor[c]),
+                    (Sc == 0.0) & live[fold[c]].T & (slope > 0.0) & (sigma * CU > floor[c]),
                     sigma * CU / slope, 0.0,
                 )
                 leave = np.where((Sc * Vb < 0.0) & (Sc * Ub < 0.0), Ub / Vb, 0.0)
@@ -329,7 +371,8 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float, max_iter: 
     if cols.size:
         U, V = inv.solve(gamma, S, cols)
         B = U - mu[cols] * V
-        gap = float(_kkt_gaps(2.0 * (Gamma @ B - gamma[:, cols]), B, 2.0 * mu_stop).max())
+        grad = 2.0 * (_fold_products(Gamma, fold[cols], B) - gamma[:, cols])
+        gap = float(_kkt_gaps(grad, B, 2.0 * mu_stop).max())
         knots = np.zeros(m, dtype=int)
         knots[cols] = max_iter
         raise ConvergenceError(
@@ -440,11 +483,15 @@ def cv_lambda(
     the observed lags immediately preceding them; the score is the mean
     squared prediction error.
 
-    Each training fold's p row problems walk their exact solution paths
-    together (``_lasso_path``), and every grid penalty is read off the
-    segment that holds it, so the scores carry no solver tolerance. At most
-    ``max_iter`` knots per path; refit at the chosen penalty with
-    ``fit_var``.
+    The training folds' row problems walk their exact solution paths as the
+    columns of one ``_lasso_path`` over the stack of the folds' Gram
+    matrices, and every grid penalty is read off the segment that holds it,
+    so the scores carry no solver tolerance. A walk takes as many folds as
+    keep its worst-case inverse stack, columns x pd^2 doubles, within
+    ``_FOLD_STACK`` (all five folds when p = pd = 10, one when p = pd = 50),
+    so a step's fixed cost is paid once for those folds; the rest walk after
+    them. At most ``max_iter`` knots per path; refit at the chosen penalty
+    with ``fit_var``.
     """
     values = _values(xi_hat)
     if n_folds < 2:
@@ -456,22 +503,38 @@ def cv_lambda(
     lam_max = 2.0 * max(float(np.max(np.abs(g))) for g in [full.gamma] + [f[1] for f in folds])
     grid = np.geomspace(lam_max, lam_max * _LAMBDA_DEPTH, n_lambda)
     mu_grid = 0.5 * grid
+    p = values.shape[1]
+    per_walk = max(1, _FOLD_STACK // (p * (p * d) ** 2))
     fold_scores = np.empty((n_folds, n_lambda))
-    knots = np.zeros((n_folds, values.shape[1]), dtype=int)
-    for k, (Gamma, gamma, va_design, va_resp) in enumerate(folds):
-        sse = np.zeros(n_lambda)
-        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter):
-            knots[k, cols] += hi < np.inf
+    knots = np.zeros((n_folds, p), dtype=int)
+    for first in range(0, n_folds, per_walk):
+        walk = folds[first : first + per_walk]
+        F = len(walk)
+        Gamma = np.stack([f[0] for f in walk])
+        gamma = np.concatenate([f[1] for f in walk], axis=1)
+        va_design = np.concatenate([f[2] for f in walk])
+        va_resp = np.concatenate([f[3] for f in walk])
+        # column c of the walk is row problem c % p of fold c // p, and every
+        # validation point of the stacked design belongs to one fold
+        fold = np.arange(F * p) // p
+        va_fold = np.repeat(np.arange(F), [f[2].shape[0] for f in walk])
+        sse = np.zeros(F * n_lambda)
+        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter, fold):
+            knots[first + fold[cols], cols % p] += hi < np.inf
             g, i = np.nonzero((mu_grid[:, None] >= lo) & (mu_grid[:, None] < hi))
             if g.size:
-                # the residual at mu is r + mu q, so its SSE is quadratic in mu
-                r = va_resp[:, cols] - va_design @ U
-                q = va_design @ V
+                # the residual at mu is r + mu q, so its SSE is quadratic in
+                # mu; each column sums over its own fold's points only
+                own = va_fold[:, None] == fold[cols]
+                r = np.where(own, va_resp[:, cols % p] - va_design @ U, 0.0)
+                q = np.where(own, va_design @ V, 0.0)
                 rr, rq, qq = np.sum(r * r, axis=0), np.sum(r * q, axis=0), np.sum(q * q, axis=0)
                 mu = mu_grid[g]
                 pair_sse = rr[i] + mu * (2.0 * rq[i] + mu * qq[i])
-                sse += np.bincount(g, weights=pair_sse, minlength=n_lambda)
-        fold_scores[k] = sse / va_resp.size
+                sse += np.bincount(fold[cols[i]] * n_lambda + g, weights=pair_sse,
+                                   minlength=F * n_lambda)
+        sizes = np.array([f[3].size for f in walk])
+        fold_scores[first : first + F] = sse.reshape(F, n_lambda) / sizes[:, None]
     mean_scores = fold_scores.mean(axis=0)
     return LambdaCvReport(
         grid=grid,

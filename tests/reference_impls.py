@@ -1,10 +1,14 @@
 """Independent straight-line re-implementations used as test oracles.
 
 Everything here is deliberately written with plain Python loops and no reuse
-of the package's own building blocks, so agreement is meaningful.
+of the package's own building blocks, so agreement is meaningful. The one
+exception, ``per_fold_lambda_scores``, walks each lambda-CV fold alone on the
+package's path, because what it checks is the walk that stacks the folds.
 """
 
 import numpy as np
+
+from favar.varlasso import _cv_folds, _lasso_path
 
 
 def loop_autocov(values, h):
@@ -129,3 +133,27 @@ def fresh_active_solution(Gamma, gamma_col, active, signs):
         u[active] = np.linalg.solve(block, gamma_col[active])
         v[active] = np.linalg.solve(block, signs)
     return u, v
+
+
+def per_fold_lambda_scores(values, d, grid, n_folds, max_iter=100_000):
+    """lambda-CV fold scores and knots with every fold's path walked on its own.
+
+    Returns the n_folds x len(grid) validation scores and the n_folds x p
+    knots, each grid penalty scored off the segment of the path that holds
+    it: there the residual is r + mu q, so its sum of squares is
+    r'r + mu (2 r'q + mu q'q).
+    """
+    mu_grid = 0.5 * np.asarray(grid)
+    scores = np.zeros((n_folds, mu_grid.size))
+    knots = np.zeros((n_folds, values.shape[1]), dtype=int)
+    for k, (Gamma, gamma, va_design, va_resp) in enumerate(_cv_folds(values, d, n_folds)):
+        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter):
+            for i, j in enumerate(cols):
+                knots[k, j] += hi[i] < np.inf
+                r = va_resp[:, j] - va_design @ U[:, i]
+                q = va_design @ V[:, i]
+                for g, mu in enumerate(mu_grid):
+                    if lo[i] <= mu < hi[i]:
+                        scores[k, g] += r @ r + mu * (2.0 * (r @ q) + mu * (q @ q))
+        scores[k] /= va_resp.size
+    return scores, knots

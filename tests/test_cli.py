@@ -312,6 +312,22 @@ def test_cell_runner_accepts_every_dgp_field_but_seed(tmp_path, monkeypatch, cap
     assert "unknown config keys: ['seed']" in capsys.readouterr().err
 
 
+def test_cell_runner_runs_a_fixed_tau_and_refuses_unknown_keys(tmp_path, capsys):
+    # tau is an ExperimentConfig field, so a fixed-tau cell runs and records it
+    runner = load_cell_runner()
+    config = tmp_path / "cell.txt"
+    config.write_text("n = 60\np = 6\ntau = 2.5\nn_lambda = 8\nn_folds = 3\n")
+    out = tmp_path / "cell"
+    argv = ["--config", str(config), "--out", str(out), "--reps", "1"]
+    assert runner.main(argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["tau"] == 2.5
+    config.write_text(config.read_text() + "bogus = 1\n")
+    with pytest.raises(SystemExit) as exc_info:
+        runner.main(argv)
+    assert exc_info.value.code == 2
+    assert "unknown config keys: ['bogus']" in capsys.readouterr().err
+
+
 def test_run_experiment_identical_arms_give_unit_rme(tmp_path):
     # forcing the "truncated" arm to tau = inf makes both arms the same fit
     cfg = experiment_config(tmp_path / "exp", reps=1, tau=math.inf)

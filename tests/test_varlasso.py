@@ -6,6 +6,7 @@ from favar.moments import GramSystem, build_gram
 from favar.simulate import DgpSpec, simulate_panel
 from favar.varlasso import (
     ConvergenceError,
+    _FOLD_STACK,
     _LAMBDA_DEPTH,
     _ActiveInverses,
     _cv_folds,
@@ -20,6 +21,7 @@ from reference_impls import (
     fresh_active_solution,
     lasso_objective,
     loop_kkt_gap,
+    per_fold_lambda_scores,
     proximal_gradient_lasso,
 )
 
@@ -283,6 +285,81 @@ def test_singular_join_refactorises_its_column_and_spares_the_rest_of_the_batch(
     assert np.all(U[2:, 0] == 0.0) and np.all(U[[0, 5], 1:] == 0.0)
 
 
+def test_singular_join_inside_a_stack_reads_its_own_fold():
+    # the duplicated-coordinate Gamma above sits in fold 1 of a stack whose
+    # fold 0 is well-conditioned: only fold 1's column turns singular, and its
+    # pinv refactorisation reads fold 1's Gamma, so the min-norm answer holds
+    rng = np.random.default_rng(16)
+    Z = rng.standard_normal((200, 5))
+    X = np.column_stack([Z[:, 0], Z])
+    W = rng.standard_normal((200, 6))
+    Gamma = np.stack([W.T @ W / 200, X.T @ X / 200])
+    gamma = rng.standard_normal((6, 3))
+    inv = _ActiveInverses(Gamma, np.array([0, 1, 4]), np.array([1, 0, 0]))
+    for k in ([5, 2, 3], [1, 3, 2], [5, 4, 1]):
+        inv.toggle(np.array(k))
+    S = np.array([[1, 0, 0], [1, 1, -1], [0, -1, 1], [0, 1, 1], [0, 1, -1], [0, 0, 0]], float)
+    U, V = inv.solve(gamma, S, np.arange(3))
+    assert inv.pinned.tolist() == [True, False, False]
+    for j in (1, 2):
+        A = np.flatnonzero(S[:, j])
+        expected = np.linalg.solve(Gamma[0][np.ix_(A, A)], np.column_stack([gamma[A, j], S[A, j]]))
+        np.testing.assert_allclose(U[A, j], expected[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(V[A, j], expected[:, 1], rtol=1e-12)
+    assert U[0, 0] == pytest.approx((gamma[0, 0] + gamma[1, 0]) / (4 * Gamma[1, 0, 0]))
+    assert U[0, 0] == pytest.approx(U[1, 0]) and V[0, 0] == pytest.approx(V[1, 0])
+    assert np.all(U[2:, 0] == 0.0) and np.all(U[[0, 5], 1:] == 0.0)
+
+
+def column_segments(Gamma, gamma, mu_stop, fold=None):
+    """Each column's path as its list of segments ``(hi, lo, u, v)``."""
+    segments = [[] for _ in range(gamma.shape[1])]
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_stop, 1000, fold):
+        for i, j in enumerate(cols):
+            segments[j].append((hi[i], lo[i], U[:, i], V[:, i]))
+    return segments
+
+
+def test_stacked_walk_equals_separate_walks():
+    # fold 0 is the rank-deficient factor Gram, fold 1 a random Gram with a
+    # dead coordinate (zero row, column and moments): walked as one stack,
+    # every column takes the same knots, U and V as on its own Gram alone
+    factor = factor_gram()
+    rand = random_gram(17, p=30, n=300)
+    Gamma1, gamma1 = rand.Gamma.copy(), rand.gamma.copy()
+    Gamma1[7], Gamma1[:, 7], gamma1[7] = 0.0, 0.0, 0.0
+    Gamma = np.stack([factor.Gamma, Gamma1])
+    gamma = np.hstack([factor.gamma, gamma1])
+    mu_stop = _LAMBDA_DEPTH * np.max(np.abs(gamma))
+    stacked = column_segments(Gamma, gamma, mu_stop, np.repeat([0, 1], 30))
+    alone = column_segments(factor.Gamma, factor.gamma, mu_stop) + column_segments(
+        Gamma1, gamma1, mu_stop
+    )
+    assert sum(len(path) for path in alone) > 2 * 60
+    for together, single in zip(stacked, alone):
+        assert len(together) == len(single)
+        for (hi, lo, u, v), (hi1, lo1, u1, v1) in zip(together, single):
+            assert hi == pytest.approx(hi1, rel=1e-12) and lo == pytest.approx(lo1, rel=1e-12)
+            assert np.max(np.abs(u - u1)) <= 1e-12 * max(np.max(np.abs(u1)), 1e-300)
+            assert np.max(np.abs(v - v1)) <= 1e-12 * max(np.max(np.abs(v1)), 1e-300)
+
+
+@pytest.mark.parametrize("n, p, folds_per_walk", [(120, 10, 5), (100, 50, 1)])
+def test_cv_lambda_matches_folds_walked_one_by_one(n, p, folds_per_walk):
+    # a (120,10) r = 3 panel walks its five folds together, a (100,50) panel
+    # each fold on its own; both agree with every fold walked alone
+    assert min(5, _FOLD_STACK // (p * p**2)) == folds_per_walk
+    spec = DgpSpec(n=n, p=p, var_design="banded", innovation="student_t", nu=2.1,
+                   factor_design="var1_factors" if p == 10 else "none", r=3, seed=3)
+    panel = simulate_panel(spec)
+    values = fit_factors(panel.x, 3).idio if p == 10 else panel.xi
+    report = cv_lambda(values, d=1)
+    scores, knots = per_fold_lambda_scores(values, 1, report.grid, 5)
+    np.testing.assert_allclose(report.fold_scores, scores, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(report.knots, knots)
+    assert report.chosen == int(np.argmin(scores.mean(axis=0)))
+
+
 def leaves_after_matching_fresh_solves(Gamma, gamma, mu_stop, rtol):
     """Check every knot's maintained U and V against its active block solved afresh.
 
@@ -362,6 +439,11 @@ def test_zero_diagonal_with_signal_rejected():
         lasso_row(gram, 0, 0.1)
     with pytest.raises(ValueError, match="unbounded"):
         path_solutions(Gamma, gamma, np.array([0.05]))
+    # in a stack, only fold 1's columns meet its dead coordinate, and the
+    # error names the column of the walk
+    stack, moments = np.stack([np.eye(2), Gamma]), np.hstack([gamma, gamma])
+    with pytest.raises(ValueError, match=r"gamma\[0,2\] != 0"):
+        list(_lasso_path(stack, moments, 0.05, 10, np.array([0, 0, 1, 1])))
 
 
 def test_zero_diagonal_without_signal_is_fine():
