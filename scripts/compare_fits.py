@@ -2,32 +2,33 @@
 
 Each tree runs one round of every workload in ``favarbench/workloads.py`` in
 a process of its own, with every ``fit`` it makes captured. The two runs are
-then matched fit by fit: the final coefficients must be bit-identical, and
-the iteration counts and every tuning choice (tau, lambda, r and the chosen
-grid indices) equal. The outputs built from the fits must be bit-identical
-too: the origins, truncation levels and forecasts of the rolling forecast,
-and the RME ratios of the experiment cell. Also printed: the knots the
-lambda-CV paths walked, summed over folds and row problems (``-`` for a
-tree whose ``LambdaCvReport`` has no ``knots``), the largest relative
-difference between the two trees' lambda-CV fold scores, and each fit's
-iterations on both trees.
+then matched fit by fit: the final coefficients, the tau-CV scores and the
+lambda-CV fold scores must be bit-identical, and the iteration counts and
+every tuning choice (tau, lambda, r and the chosen grid indices) equal. The
+outputs built from the fits must be bit-identical too: the origins,
+truncation levels and forecasts of the rolling forecast, and the RME ratios
+of the experiment cell. Also printed: the knots the lambda-CV paths walked,
+summed over folds and row problems (``-`` for a tree whose
+``LambdaCvReport`` has no ``knots``), the largest relative difference
+between the two trees' tau-CV scores and lambda-CV fold scores, and each
+fit's iterations on both trees.
 
 With ``--same-choices``, for two trees whose final lasso solvers differ,
-the tuning choices, the forecast origins and truncation levels, and the
-lambda-CV fold scores must still be equal, but the coefficients, forecasts
-and RME ratios need not be: the largest ``|var.A|`` difference and the
-largest relative difference of the forecasts and RMEs are printed instead,
-and iteration counts are not compared (sweeps and knots count different
-things).
+the tuning choices, the forecast origins and truncation levels, the tau-CV
+scores and the lambda-CV fold scores must still be equal, but the
+coefficients, forecasts and RME ratios need not be: the largest ``|var.A|``
+difference and the largest relative difference of the forecasts and RMEs
+are printed instead, and iteration counts are not compared (sweeps and
+knots count different things).
 
 With ``--rounding``, for two trees that walk the same lasso paths with
 different arithmetic, the tuning choices, ``var.iterations``, the lambda-CV
 path knots and the forecast origins and truncation levels must be equal,
-and the lambda-CV fold scores, ``var.A``, the forecasts and the RME ratios
-must agree to ``ROUNDING_BOUND`` (1e-10) relative: fold scores and RME
-ratios entry by entry, ``var.A`` and the forecasts relative to their largest
-magnitude, since entries near zero carry no relative precision. The largest
-differences are printed.
+and the tau-CV scores, the lambda-CV fold scores, ``var.A``, the forecasts
+and the RME ratios must agree to ``ROUNDING_BOUND`` (1e-10) relative: CV
+scores and RME ratios entry by entry, ``var.A`` and the forecasts relative
+to their largest magnitude, since entries near zero carry no relative
+precision. The largest differences are printed.
 
     python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--same-choices | --rounding]
 
@@ -105,6 +106,9 @@ def collect() -> dict:
                             None if f.lambda_report is None
                             else f.lambda_report.fold_scores.copy()
                         ),
+                        "tau_scores": (
+                            None if f.tau_report is None else f.tau_report.scores.copy()
+                        ),
                     }
                     for f in fits
                 ],
@@ -135,6 +139,8 @@ def run_tree(src: str) -> dict:
 
 # outputs that are tuning choices, equal in every mode
 CHOICE_OUTPUTS = ("origins", "taus")
+# each fit's cross-validation score curves, and what to call them
+CV_SCORES = {"tau_scores": "tau-CV scores", "fold_scores": "lambda-CV fold scores"}
 # largest relative difference --rounding accepts
 ROUNDING_BOUND = 1e-10
 
@@ -169,7 +175,8 @@ def compare_rounding(old: dict, new: dict) -> list[str]:
             continue
         if o["path_knots"] != n["path_knots"]:
             problems.append(f"{name}: path knots {o['path_knots']} vs {n['path_knots']}")
-        worst = worst_A = worst_out = 0.0
+        worst = dict.fromkeys(CV_SCORES, 0.0)
+        worst_A = worst_out = 0.0
         for i, (a, b) in enumerate(zip(o["fits"], n["fits"])):
             where = f"{name} fit {i}"
             for key in ("tau", "lambda", "r", "tau_index", "lambda_index"):
@@ -178,9 +185,10 @@ def compare_rounding(old: dict, new: dict) -> list[str]:
             if not np.array_equal(a["iterations"], b["iterations"]):
                 problems.append(f"{where}: var.iterations differ")
             worst_A = max(worst_A, bounded(where, "var.A", scaled_difference(a["A"], b["A"])))
-            if a["fold_scores"] is not None:
-                diff = relative_difference(a["fold_scores"], b["fold_scores"])
-                worst = max(worst, bounded(where, "lambda-CV fold scores", diff))
+            for key, what in CV_SCORES.items():
+                if a[key] is not None:
+                    diff = relative_difference(a[key], b[key])
+                    worst[key] = max(worst[key], bounded(where, what, diff))
         for key, a in o["outputs"].items():
             b = n["outputs"].get(key)
             if key in CHOICE_OUTPUTS or np.shape(a) != np.shape(b):
@@ -193,7 +201,8 @@ def compare_rounding(old: dict, new: dict) -> list[str]:
             print(f"{name}: compared {', '.join(o['outputs'])}")
         print(
             f"{name}: {len(o['fits'])} fits; path knots {o['path_knots']} -> "
-            f"{n['path_knots']}; largest relative difference: fold scores {worst:.2e}, "
+            f"{n['path_knots']}; largest relative difference: tau scores "
+            f"{worst['tau_scores']:.2e}, fold scores {worst['fold_scores']:.2e}, "
             f"var.A {worst_A:.2e}, outputs {worst_out:.2e}"
         )
     return problems
@@ -203,7 +212,8 @@ def compare(old: dict, new: dict, same_choices: bool = False) -> list[str]:
     problems = []
     for name in old:
         o, n = old[name], new[name]
-        worst = worst_A = worst_out = 0.0
+        worst = dict.fromkeys(CV_SCORES, 0.0)
+        worst_A = worst_out = 0.0
         if len(o["fits"]) != len(n["fits"]):
             problems.append(f"{name}: {len(o['fits'])} fits vs {len(n['fits'])}")
             continue
@@ -219,10 +229,12 @@ def compare(old: dict, new: dict, same_choices: bool = False) -> list[str]:
             for key in ("tau", "lambda", "r", "tau_index", "lambda_index"):
                 if a[key] != b[key]:
                     problems.append(f"{where}: {key} {a[key]!r} vs {b[key]!r}")
-            if a["fold_scores"] is not None:
-                worst = max(worst, relative_difference(a["fold_scores"], b["fold_scores"]))
-                if same_choices and not np.array_equal(a["fold_scores"], b["fold_scores"]):
-                    problems.append(f"{where}: lambda-CV fold scores differ")
+            for key, what in CV_SCORES.items():
+                if a[key] is not None:
+                    diff = relative_difference(a[key], b[key])
+                    worst[key] = max(worst[key], diff)
+                    if not np.array_equal(a[key], b[key]):
+                        problems.append(f"{where}: {what} differ (max relative {diff:.3e})")
         for key, a in o["outputs"].items():
             b = n["outputs"].get(key)
             if np.array_equal(a, b):
@@ -235,7 +247,8 @@ def compare(old: dict, new: dict, same_choices: bool = False) -> list[str]:
             print(f"{name}: compared {', '.join(o['outputs'])}")
         print(
             f"{name}: {len(o['fits'])} fits; path knots {o['path_knots']} -> "
-            f"{n['path_knots']}; largest relative fold-score difference {worst:.2e}"
+            f"{n['path_knots']}; largest relative difference: tau scores "
+            f"{worst['tau_scores']:.2e}, fold scores {worst['fold_scores']:.2e}"
         )
         if same_choices:
             print(
@@ -259,12 +272,12 @@ def main() -> int:
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument(
         "--same-choices", action="store_true",
-        help="require equal choices and fold scores only; report coefficient and output "
+        help="require equal choices and CV scores only; report coefficient and output "
         "differences",
     )
     mode.add_argument(
         "--rounding", action="store_true",
-        help=f"require equal choices, iterations and knots, and fold scores, coefficients "
+        help=f"require equal choices, iterations and knots, and CV scores, coefficients "
         f"and outputs within {ROUNDING_BOUND:g} relative",
     )
     ap.add_argument("--collect", help=argparse.SUPPRESS)

@@ -21,7 +21,7 @@ from .forecast import (
     forecast_idio,
     rolling_forecast,
 )
-from .moments import GramSystem, autocov, build_gram, max_norm_diff
+from .moments import GramSystem, autocov, build_gram
 from .panel import PanelSeries, ScaleVector, load_csv, mad_scales, standardise, write_csv
 from .pipeline import FavarFit, FitOptions, StageError, fit, refit_options
 from .simulate import (

@@ -197,6 +197,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
+        self.fit_options()  # refuses bad fit settings before anything is written
+
+    def fit_options(self, r: int = 0) -> FitOptions:
+        """The truncated arm's fit settings, for a known factor number ``r``."""
+        return FitOptions(r=r, d=self.d, tau=self.tau, tau_grid_size=self.tau_grid_size,
+                          n_lambda=self.n_lambda, n_folds=self.n_folds)
 
 
 def _true_coefficients(panel, d: int) -> np.ndarray:
@@ -211,8 +217,7 @@ def _run_replication(cfg: ExperimentConfig, rep: int) -> dict:
     spec = replace(cfg.dgp, seed=seed)
     panel = simulate_panel(spec)
     r_known = spec.r if spec.factor_design == "var1_factors" else 0
-    opts = FitOptions(r=r_known, d=cfg.d, tau=cfg.tau, tau_grid_size=cfg.tau_grid_size,
-                      n_lambda=cfg.n_lambda, n_folds=cfg.n_folds)
+    opts = cfg.fit_options(r_known)
     fit_trunc = fit(panel.x, opts)
     fit_plain = fit(panel.x, replace(opts, tau=math.inf))
     truth = _true_coefficients(panel, cfg.d)
@@ -392,8 +397,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    opts = _fit_options(args)
     x = load_csv(args.input, has_header=not args.no_header)
-    result = fit(x, _fit_options(args))
+    result = fit(x, opts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -424,11 +430,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    x = load_csv(args.input, has_header=not args.no_header)
     opts = _fit_options(
         args, ForecastOptions, window=args.window, horizon=args.horizon,
         reselect_r=args.reselect_r, reselect_tau=not args.fixed_tau,
     )
+    x = load_csv(args.input, has_header=not args.no_header)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -524,6 +530,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv_tau(args) -> int:
+    if args.tau_grid_size < 2:
+        raise CliError("usage", f"--tau-grid-size must be at least 2, got {args.tau_grid_size}")
+    if args.cv_lags < 0:
+        raise CliError("usage", f"--cv-lags must be non-negative, got {args.cv_lags}")
     x = load_csv(args.input, has_header=not args.no_header)
     scales = mad_scales(x)
     grid = build_tau_grid(x, scales, args.tau_grid_size)
@@ -640,7 +650,7 @@ def main(argv=None) -> int:
         print(f"error:{e.category}: {e}", file=sys.stderr)
         return 2 if e.category == "usage" else 1
     except StageError as e:
-        print(f"error:stage:{e.stage}: {e}", file=sys.stderr)
+        print(f"error:stage:{e}", file=sys.stderr)  # str(e) starts with the stage name
         return 1
     except (OSError, ValueError) as e:  # a file that cannot be read, parsed or written
         print(f"error:input: {e}", file=sys.stderr)

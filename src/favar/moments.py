@@ -101,12 +101,3 @@ def build_gram(xi_hat, d: int) -> GramSystem:
     gamma = xty / N
     Gamma = 0.5 * (Gamma + Gamma.T)
     return GramSystem(Gamma=Gamma, gamma=gamma, N=N, d=d, p=p)
-
-
-def max_norm_diff(a, b) -> float:
-    """Max entrywise absolute difference of two equally shaped matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))

@@ -84,6 +84,10 @@ class FitOptions:
                 raise ValueError('lam must be a number or "cv"')
         elif not 0.0 <= self.lam < math.inf:
             raise ValueError("fixed lambda must be finite and non-negative")
+        if self.tau_grid_size < 2:
+            raise ValueError(f"tau_grid_size must be at least 2, got {self.tau_grid_size}")
+        if self.n_folds < 2:
+            raise ValueError(f"n_folds must be at least 2, got {self.n_folds}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,10 @@ its own threshold ``sigma_i * tau``. ``tau = inf`` means no truncation. The
 cross-validation score compares truncated and untruncated autocovariances
 across the two halves of the sample, and the selected tau is the grid
 minimiser, with ties broken toward the largest tau (least truncation).
+``cv_tau`` scores a stack of grid points per numpy call: each half is
+clipped once per stack and each lag's moments of the whole stack come from
+one batched product, with as many points per stack as keep the larger
+half's clipped stack within ``_TAU_STACK`` doubles.
 """
 
 from __future__ import annotations
@@ -14,8 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import autocov, max_norm_diff
+from .moments import autocov
 from .panel import PanelSeries, ScaleVector, _frozen
+
+# doubles the larger half's clipped stack may hold in cv_tau (512 KiB): it
+# sets how many grid points are scored per numpy call. Measured at one BLAS
+# thread: 2^16 scores a (120, 10) window's 60 points in one stack, where 2^15
+# was 8% slower, and 2^17 and up slowed the (100, 50) and (200, 50) panels
+_TAU_STACK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +98,6 @@ def truncate(x: PanelSeries, rule: TruncationRule) -> PanelSeries:
     return PanelSeries(np.clip(x.values, -thr, thr), x.names)
 
 
-def truncate_values(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    return np.clip(values, -thresholds, thresholds)
-
-
 def build_tau_grid(x: PanelSeries, s: ScaleVector, J: int = 60) -> TauGrid:
     """Equi-spaced grid from the pooled median to the pooled max of |X/sigma|."""
     if J < 2:
@@ -113,28 +119,39 @@ def cv_tau(x: PanelSeries, s: ScaleVector, d: int, grid: TauGrid) -> TauCvReport
     tau and each lag h in 0..d, the truncated autocovariance of one fold is
     compared in max norm against the untruncated autocovariance of the other,
     and the two fold terms are summed; the score takes the max over lags.
+
+    The grid is scored in stacks of ``k`` points: each fold is clipped once
+    into a (k, m, p) stack, each lag's k moment matrices come from one
+    batched product in ``autocov``'s order of operations, so the scores equal
+    those of one tau at a time bit for bit. ``k`` keeps the larger fold's
+    stack, k x (n - n // 2) x p doubles, within ``_TAU_STACK``: the whole
+    60-point grid at (n, p) = (100, 10) and (120, 10), 26 points at
+    (100, 50), 13 at (200, 50) and one at (600, 150).
     """
     if d < 0:
         raise ValueError("lag range d must be non-negative")
     if s.p != x.p:
         raise ValueError("scale length does not match panel width")
-    n = x.n
+    n, p = x.n, x.p
     half = n // 2
     if half < d + 1 or (n - half) < d + 1:
         raise ValueError(f"folds of length {half} and {n - half} too short for lag {d}")
     folds = (x.values[:half], x.values[half:])
     plain = [[autocov(f, h) for h in range(d + 1)] for f in folds]
+    per_stack = max(1, _TAU_STACK // ((n - half) * p))
     scores = np.empty(grid.size)
-    for k, tau in enumerate(grid.values):
-        thr = s.sigma * tau
-        clipped = [truncate_values(f, thr) for f in folds]
-        worst = 0.0
+    for lo in range(0, grid.size, per_stack):
+        thr = s.sigma * grid.values[lo : lo + per_stack, None, None]
+        clipped = [np.clip(f, -thr, thr) for f in folds]
+        worst = np.zeros(thr.shape[0])
         for h in range(d + 1):
-            g1 = autocov(clipped[0], h)
-            g2 = autocov(clipped[1], h)
-            score_h = max_norm_diff(g1, plain[1][h]) + max_norm_diff(g2, plain[0][h])
-            worst = max(worst, score_h)
-        scores[k] = worst
+            score_h = 0.0
+            for c, other in zip(clipped, plain[::-1]):
+                m = c.shape[1]
+                G = np.matmul(c[:, h:].transpose(0, 2, 1), c[:, : m - h]) / (m - h)
+                score_h = score_h + np.abs(G - other[h]).max(axis=(1, 2))
+            worst = np.fmax(worst, score_h)  # skips a NaN lag score (overflowed moments)
+        scores[lo : lo + per_stack] = worst
     minimisers = np.flatnonzero(scores == scores.min())
     chosen = int(minimisers[-1])  # ties resolved toward the largest tau
     return TauCvReport(grid=grid, scores=scores, chosen=chosen)

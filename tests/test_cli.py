@@ -260,7 +260,34 @@ def test_stage_error_category(tmp_path, capsys):
     code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--r", "0",
                  "--out", str(tmp_path / "o")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:stage:scales:")
+    assert capsys.readouterr().err == (
+        "error:stage:scales: column 'a' (index 1) has zero median absolute deviation\n"
+    )
+
+
+BAD_CV_SIZES = {
+    "estimate-grid": (["estimate", "--tau-grid-size", "1"],
+                      "tau_grid_size must be at least 2, got 1"),
+    "estimate-folds": (["estimate", "--n-folds", "1"], "n_folds must be at least 2, got 1"),
+    "forecast-grid": (["forecast", "--tau-grid-size", "1"],
+                      "tau_grid_size must be at least 2, got 1"),
+    "forecast-folds": (["forecast", "--n-folds", "1"], "n_folds must be at least 2, got 1"),
+    "cv-tau-grid": (["cv-tau", "--tau-grid-size", "1"],
+                    "--tau-grid-size must be at least 2, got 1"),
+    "cv-tau-lags": (["cv-tau", "--cv-lags", "-1"], "--cv-lags must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_CV_SIZES.values(), ids=BAD_CV_SIZES.keys())
+def test_bad_cv_sizes_are_usage_errors(tmp_path, capsys, argv, message):
+    (tmp_path / "x.csv").write_text(
+        "a,b\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(30)) + "\n"
+    )
+    out = tmp_path / "o"
+    code = main([*argv, "--input", str(tmp_path / "x.csv"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error:usage: {message}\n"
+    assert not out.exists()
 
 
 def experiment_config(tmp_path, reps=2, threads=1, tau="cv"):
@@ -388,6 +415,14 @@ def test_run_experiment_rejects_zero_reps_before_writing(tmp_path):
     out = tmp_path / "cell"
     with pytest.raises(ValueError, match="reps"):
         run_experiment(experiment_config(out, reps=0))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["tau_grid_size", "n_folds"])
+def test_run_experiment_rejects_bad_cv_sizes_before_writing(tmp_path, field):
+    out = tmp_path / "cell"
+    with pytest.raises(ValueError, match=f"^{field} must be at least 2"):
+        run_experiment(replace(experiment_config(out), **{field: 1}))
     assert not out.exists()
 
 

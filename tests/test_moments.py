@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from favar.moments import GramSystem, autocov, build_gram, max_norm_diff
+from favar.moments import GramSystem, autocov, build_gram
 from favar.panel import PanelSeries
 from favar.simulate import DgpSpec, simulate_panel
 
-from reference_impls import loop_autocov, loop_gram, loop_max_abs_diff
+from reference_impls import loop_autocov, loop_gram
 
 
 def test_autocov_zero_panel():
@@ -110,20 +110,6 @@ def test_gram_from_zero_mean_white_noise_approaches_identity():
         errs.append(total / 5)
     assert errs[1] < errs[0]
     assert errs[1] < 0.15
-
-
-def test_max_norm_diff_examples():
-    a = np.array([[1.0]])
-    assert max_norm_diff(a, a) == 0.0
-    assert max_norm_diff(a, np.array([[-2.0]])) == 3.0
-    with pytest.raises(ValueError, match="shape mismatch"):
-        max_norm_diff(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_max_norm_diff_matches_loop():
-    rng = np.random.default_rng(10)
-    a, b = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
-    assert max_norm_diff(a, b) == loop_max_abs_diff(a, b)
 
 
 def test_gram_system_validates_shapes_and_symmetry():

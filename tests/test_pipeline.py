@@ -91,6 +91,13 @@ def test_options_validation():
         FitOptions(lam="bogus")
 
 
+@pytest.mark.parametrize("field", ["tau_grid_size", "n_folds"])
+def test_options_refuse_cv_sizes_below_two(field):
+    FitOptions(**{field: 2})
+    with pytest.raises(ValueError, match=f"^{field} must be at least 2, got 1$"):
+        FitOptions(**{field: 1})
+
+
 @pytest.mark.slow
 def test_factor_var_gaussian_coefficient_error_is_controlled():
     hits = 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from favar import trunc
 from favar.moments import autocov
 from favar.panel import PanelSeries, ScaleVector, mad_scales
 from favar.trunc import TauGrid, TruncationRule, build_tau_grid, cv_tau, truncate
@@ -114,6 +115,53 @@ def test_cv_tau_matches_straight_line_reference():
     report = cv_tau(panel, scales, d=1, grid=grid)
     expected = reference_cv_tau_scores(panel.values, scales.sigma, 1, grid.values)
     np.testing.assert_allclose(report.scores, expected, rtol=0, atol=1e-10)
+
+
+def heavy_panel(n, p, seed):
+    rng = np.random.default_rng(seed)
+    panel = PanelSeries.from_values(rng.standard_t(2.1, (n, p)))
+    return panel, mad_scales(panel)
+
+
+@pytest.mark.parametrize("n", [50, 51])  # 51: the second fold is one row longer
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_cv_tau_stack_matches_reference_at_each_lag_range(n, d):
+    panel, scales = heavy_panel(n, 4, seed=n + d)
+    grid = build_tau_grid(panel, scales, J=12)
+    report = cv_tau(panel, scales, d=d, grid=grid)
+    expected = reference_cv_tau_scores(panel.values, scales.sigma, d, grid.values)
+    np.testing.assert_allclose(report.scores, expected, rtol=0, atol=1e-10)
+
+
+def test_cv_tau_grid_split_into_stacks_scores_as_one_stack(monkeypatch):
+    panel, scales = heavy_panel(51, 4, seed=3)
+    fold = (51 - 51 // 2) * 4  # doubles of one tau's clipped longer fold
+    grid = build_tau_grid(panel, scales, J=60)
+    assert trunc._TAU_STACK // fold >= grid.size
+    whole = cv_tau(panel, scales, d=2, grid=grid)
+    expected = reference_cv_tau_scores(panel.values, scales.sigma, 2, grid.values)
+    np.testing.assert_allclose(whole.scores, expected, rtol=0, atol=1e-10)
+    # stacks of 59 + 1, 8 x 7 + 4 and 60 x 1 grid points
+    for per_stack in (59, 7, 1):
+        monkeypatch.setattr(trunc, "_TAU_STACK", per_stack * fold)
+        split = cv_tau(panel, scales, d=2, grid=grid)
+        np.testing.assert_array_equal(split.scores, whole.scores)
+        assert split.chosen == whole.chosen
+
+
+def test_cv_tau_tie_across_stacks_chooses_largest_tau(monkeypatch):
+    # both halves hold the same rows, so every tau that clips nothing scores
+    # exactly 0 and every tau that clips something scores above it
+    half = np.random.default_rng(8).uniform(-0.99, 0.99, (20, 3))
+    panel = PanelSeries.from_values(np.vstack([half, half]))
+    scales = ScaleVector(np.ones(3))
+    grid = TauGrid(np.linspace(0.2, 2.0, 10))  # points from 1.0 up clip nothing
+    monkeypatch.setattr(trunc, "_TAU_STACK", 3 * 20 * 3)  # stacks of 3, 3, 3 and 1
+    report = cv_tau(panel, scales, d=1, grid=grid)
+    tied = grid.values >= 1.0
+    assert np.all(report.scores[tied] == 0.0)
+    assert np.all(report.scores[~tied] > 0.0)
+    assert report.chosen == grid.size - 1
 
 
 def test_cv_tau_single_outlier_prefers_interior_tau():
