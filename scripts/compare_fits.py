@@ -2,35 +2,23 @@
 
 Each tree runs one round of every workload in ``favarbench/workloads.py`` in
 a process of its own, with every ``fit`` it makes captured. The two runs are
-then matched fit by fit: the final coefficients, the tau-CV scores and the
-lambda-CV fold scores must be bit-identical, and the iteration counts and
-every tuning choice (tau, lambda, r and the chosen grid indices) equal. The
-outputs built from the fits must be bit-identical too: the origins,
-truncation levels and forecasts of the rolling forecast, and the RME ratios
-of the experiment cell. Also printed: the knots the lambda-CV paths walked,
-summed over folds and row problems (``-`` for a tree whose
-``LambdaCvReport`` has no ``knots``), the largest relative difference
-between the two trees' tau-CV scores and lambda-CV fold scores, and each
-fit's iterations on both trees.
-
-With ``--same-choices``, for two trees whose final lasso solvers differ,
-the tuning choices, the forecast origins and truncation levels, the tau-CV
-scores and the lambda-CV fold scores must still be equal, but the
-coefficients, forecasts and RME ratios need not be: the largest ``|var.A|``
-difference and the largest relative difference of the forecasts and RMEs
-are printed instead, and iteration counts are not compared (sweeps and
-knots count different things).
+then matched fit by fit: every tuning choice (tau, lambda, r and the chosen
+grid indices), the iteration counts and the knots the lambda-CV paths
+walked, summed over folds and row problems (``-`` for a tree whose
+``LambdaCvReport`` has no ``knots``), must be equal, and so must the
+origins and truncation levels of the rolling forecast. The final
+coefficients, the tau-CV scores, the lambda-CV fold scores, the forecasts
+and the RME ratios of the experiment cell must be bit-identical. Printed
+are the path knots, the largest relative difference of each of these
+values between the two trees, and each fit's iterations on both trees.
 
 With ``--rounding``, for two trees that walk the same lasso paths with
-different arithmetic, the tuning choices, ``var.iterations``, the lambda-CV
-path knots and the forecast origins and truncation levels must be equal,
-and the tau-CV scores, the lambda-CV fold scores, ``var.A``, the forecasts
-and the RME ratios must agree to ``ROUNDING_BOUND`` (1e-10) relative: CV
-scores and RME ratios entry by entry, ``var.A`` and the forecasts relative
-to their largest magnitude, since entries near zero carry no relative
-precision. The largest differences are printed.
+different arithmetic, the values that must be bit-identical need only
+agree to ``ROUNDING_BOUND`` (1e-10) relative: CV scores and RME ratios
+entry by entry, ``var.A`` and the forecasts relative to their largest
+magnitude, since entries near zero carry no relative precision.
 
-    python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--same-choices | --rounding]
+    python3 scripts/compare_fits.py OLD_SRC NEW_SRC [--rounding]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``favar`` package,
 such as the ``src`` of two checkouts. Exits 1 if any required equality
@@ -159,13 +147,16 @@ def scaled_difference(a, b) -> float:
         return 0.0 if diff == 0.0 else float(diff / np.max(np.abs(a), initial=0.0))
 
 
-def compare_rounding(old: dict, new: dict) -> list[str]:
-    """``--rounding``: equal choices, iterations and knots; values within ``ROUNDING_BOUND``."""
+def compare(old: dict, new: dict, bound: float = 0.0) -> list[str]:
+    """Match two trees' runs fit by fit. Choices, iterations, path knots and
+    the forecast origins and truncation levels must be equal; the CV scores,
+    ``var.A`` and the other outputs bit-equal, or within ``bound`` relative
+    when it is positive."""
     problems = []
 
-    def bounded(where, what, value):
-        if not value <= ROUNDING_BOUND:
-            problems.append(f"{where}: {what} differs by {value:.3e} relative")
+    def bounded(where, what, a, b, value):
+        if not (np.array_equal(a, b) or (bound > 0 and value <= bound)):
+            problems.append(f"{where}: {what}: largest difference {value:.3e} relative")
         return value
 
     for name in old:
@@ -184,11 +175,12 @@ def compare_rounding(old: dict, new: dict) -> list[str]:
                     problems.append(f"{where}: {key} {a[key]!r} vs {b[key]!r}")
             if not np.array_equal(a["iterations"], b["iterations"]):
                 problems.append(f"{where}: var.iterations differ")
-            worst_A = max(worst_A, bounded(where, "var.A", scaled_difference(a["A"], b["A"])))
+            diff = scaled_difference(a["A"], b["A"])
+            worst_A = max(worst_A, bounded(where, "var.A", a["A"], b["A"], diff))
             for key, what in CV_SCORES.items():
                 if a[key] is not None:
                     diff = relative_difference(a[key], b[key])
-                    worst[key] = max(worst[key], bounded(where, what, diff))
+                    worst[key] = max(worst[key], bounded(where, what, a[key], b[key], diff))
         for key, a in o["outputs"].items():
             b = n["outputs"].get(key)
             if key in CHOICE_OUTPUTS or np.shape(a) != np.shape(b):
@@ -196,7 +188,7 @@ def compare_rounding(old: dict, new: dict) -> list[str]:
                     problems.append(f"{name}: {key} differs")
                 continue
             diff = relative_difference(a, b) if np.ndim(a) == 0 else scaled_difference(a, b)
-            worst_out = max(worst_out, bounded(name, key, diff))
+            worst_out = max(worst_out, bounded(name, key, a, b, diff))
         if o["outputs"]:
             print(f"{name}: compared {', '.join(o['outputs'])}")
         print(
@@ -205,56 +197,6 @@ def compare_rounding(old: dict, new: dict) -> list[str]:
             f"{worst['tau_scores']:.2e}, fold scores {worst['fold_scores']:.2e}, "
             f"var.A {worst_A:.2e}, outputs {worst_out:.2e}"
         )
-    return problems
-
-
-def compare(old: dict, new: dict, same_choices: bool = False) -> list[str]:
-    problems = []
-    for name in old:
-        o, n = old[name], new[name]
-        worst = dict.fromkeys(CV_SCORES, 0.0)
-        worst_A = worst_out = 0.0
-        if len(o["fits"]) != len(n["fits"]):
-            problems.append(f"{name}: {len(o['fits'])} fits vs {len(n['fits'])}")
-            continue
-        for i, (a, b) in enumerate(zip(o["fits"], n["fits"])):
-            where = f"{name} fit {i}"
-            diff = float(np.max(np.abs(a["A"] - b["A"]), initial=0.0))
-            worst_A = max(worst_A, diff)
-            if not same_choices:
-                if not np.array_equal(a["A"], b["A"]):
-                    problems.append(f"{where}: var.A differs (max abs {diff:.3e})")
-                if not np.array_equal(a["iterations"], b["iterations"]):
-                    problems.append(f"{where}: var.iterations differ")
-            for key in ("tau", "lambda", "r", "tau_index", "lambda_index"):
-                if a[key] != b[key]:
-                    problems.append(f"{where}: {key} {a[key]!r} vs {b[key]!r}")
-            for key, what in CV_SCORES.items():
-                if a[key] is not None:
-                    diff = relative_difference(a[key], b[key])
-                    worst[key] = max(worst[key], diff)
-                    if not np.array_equal(a[key], b[key]):
-                        problems.append(f"{where}: {what} differ (max relative {diff:.3e})")
-        for key, a in o["outputs"].items():
-            b = n["outputs"].get(key)
-            if np.array_equal(a, b):
-                continue
-            if same_choices and key not in CHOICE_OUTPUTS and np.shape(a) == np.shape(b):
-                worst_out = max(worst_out, relative_difference(a, b))
-            else:
-                problems.append(f"{name}: {key} differs")
-        if o["outputs"]:
-            print(f"{name}: compared {', '.join(o['outputs'])}")
-        print(
-            f"{name}: {len(o['fits'])} fits; path knots {o['path_knots']} -> "
-            f"{n['path_knots']}; largest relative difference: tau scores "
-            f"{worst['tau_scores']:.2e}, fold scores {worst['fold_scores']:.2e}"
-        )
-        if same_choices:
-            print(
-                f"{name}: largest |var.A| difference {worst_A:.2e}; largest relative "
-                f"output difference {worst_out:.2e}"
-            )
         for i, (a, b) in enumerate(zip(o["fits"], n["fits"])):
             print(
                 f"  fit {i}: r={b['r']} tau_index={b['tau_index']} "
@@ -269,13 +211,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", nargs="?")
     ap.add_argument("new_src", nargs="?")
-    mode = ap.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--same-choices", action="store_true",
-        help="require equal choices and CV scores only; report coefficient and output "
-        "differences",
-    )
-    mode.add_argument(
+    ap.add_argument(
         "--rounding", action="store_true",
         help=f"require equal choices, iterations and knots, and CV scores, coefficients "
         f"and outputs within {ROUNDING_BOUND:g} relative",
@@ -288,16 +224,10 @@ def main() -> int:
     if not (args.old_src and args.new_src):
         ap.error("need OLD_SRC and NEW_SRC")
     old, new = run_tree(args.old_src), run_tree(args.new_src)
-    if args.rounding:
-        problems = compare_rounding(old, new)
-    else:
-        problems = compare(old, new, args.same_choices)
+    problems = compare(old, new, ROUNDING_BOUND if args.rounding else 0.0)
     for line in problems:
         print(f"DIFF {line}")
-    same = (
-        "same paths up to rounding" if args.rounding
-        else "same choices" if args.same_choices else "identical fits"
-    )
+    same = "same paths up to rounding" if args.rounding else "identical fits"
     print(same if not problems else f"{len(problems)} differences")
     return 1 if problems else 0
 

@@ -7,7 +7,6 @@ at a cross-validated level before any moments are formed.
 
 from .evaluate import (
     FluctuationResult,
-    MetricReport,
     RmeReport,
     fluctuation_test,
     matrix_error,
@@ -22,7 +21,7 @@ from .forecast import (
     rolling_forecast,
 )
 from .moments import GramSystem, autocov, build_gram
-from .panel import PanelSeries, ScaleVector, load_csv, mad_scales, standardise, write_csv
+from .panel import PanelSeries, ScaleVector, load_csv, mad_scales, write_csv
 from .pipeline import FavarFit, FitOptions, StageError, fit, refit_options
 from .simulate import (
     DgpSpec,

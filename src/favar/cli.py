@@ -1,4 +1,4 @@
-"""Command-line orchestration: simulate, estimate, forecast, evaluate, cv-tau.
+"""Command-line orchestration: simulate, estimate, forecast, evaluate.
 
 Every run writes its outputs under a single directory together with a
 manifest (config snapshot, seed, file list), so any output directory can be
@@ -24,10 +24,9 @@ import numpy as np
 from . import evaluate as ev
 from ._rng import derive_seed
 from .forecast import ForecastOptions, align_origins, rolling_forecast
-from .panel import load_csv, mad_scales, write_csv
+from .panel import load_csv, write_csv
 from .pipeline import FitOptions, StageError, fit
 from .simulate import DgpSpec, simulate_panel
-from .trunc import build_tau_grid, cv_tau
 
 
 class CliError(RuntimeError):
@@ -251,10 +250,8 @@ def _cell_fingerprint(cfg: ExperimentConfig) -> dict:
     del flat["dgp.seed"]
     if cfg.dgp.innovation != "student_t":
         del flat["dgp.nu"]
-    flat.update(
-        seed=cfg.seed, d=cfg.d, norms=list(cfg.norms), tau=cfg.tau,
-        tau_grid_size=cfg.tau_grid_size, n_lambda=cfg.n_lambda, n_folds=cfg.n_folds,
-    )
+    flat.update((f.name, getattr(cfg, f.name)) for f in fields(cfg)
+                if f.name not in ("dgp", "reps", "out", "threads"))
     return json.loads(json.dumps(flat))
 
 
@@ -411,6 +408,11 @@ def cmd_estimate(args) -> int:
     for ell, block in enumerate(result.var.A_blocks, start=1):
         _write_matrix(out / f"A_{ell}.csv", block, x.names)
         files.append(f"A_{ell}.csv")
+    report = result.tau_report
+    if report is not None:
+        table = np.column_stack([report.grid.values, report.scores])
+        _write_matrix(out / "tau_scores.csv", table, ["tau", "score"])
+        files.append("tau_scores.csv")
     nnz = result.var.nonzeros
     total = result.var.A.size
     summary = [
@@ -529,25 +531,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_cv_tau(args) -> int:
-    if args.tau_grid_size < 2:
-        raise CliError("usage", f"--tau-grid-size must be at least 2, got {args.tau_grid_size}")
-    if args.cv_lags < 0:
-        raise CliError("usage", f"--cv-lags must be non-negative, got {args.cv_lags}")
-    x = load_csv(args.input, has_header=not args.no_header)
-    scales = mad_scales(x)
-    grid = build_tau_grid(x, scales, args.tau_grid_size)
-    report = cv_tau(x, scales, args.cv_lags, grid)
-    print(f"tau {report.tau:.12g} (grid index {report.chosen} of {grid.size})")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        table = np.column_stack([grid.values, report.scores])
-        _write_matrix(out / "tau_scores.csv", table, ["tau", "score"])
-        _flag_manifest(args, ["tau_scores.csv"], chosen_tau=report.tau)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 
@@ -624,14 +607,6 @@ def build_parser() -> _Parser:
     evl.add_argument("--plot", action="store_true", help="emit SVG statistic paths")
     evl.add_argument("--out", default=None)
     evl.set_defaults(func=cmd_evaluate)
-
-    cvt = subs.add_parser("cv-tau", help="cross-validate the truncation level")
-    cvt.add_argument("--input", required=True)
-    cvt.add_argument("--no-header", action="store_true")
-    cvt.add_argument("--tau-grid-size", type=int, default=60)
-    cvt.add_argument("--cv-lags", type=int, default=1)
-    cvt.add_argument("--out", default=None)
-    cvt.set_defaults(func=cmd_cv_tau)
 
     return parser
 

@@ -25,29 +25,6 @@ CRITICAL_VALUES_FILE = _DATA_DIR / "fluctuation_critical_values.csv"
 METRICS = ("max_row_l2", "max_elementwise", "frobenius", "l2_col_max")
 
 
-@dataclass(frozen=True, eq=False)
-class MetricReport:
-    """Per-replication errors for one metric, with simple aggregates."""
-
-    metric: str
-    errors: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.errors, dtype=float)
-        if np.any(e < 0.0):
-            raise ValueError("errors must be non-negative")
-        object.__setattr__(self, "errors", _frozen(e))
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.errors))
-
-    @property
-    def quantiles(self) -> tuple[float, float, float]:
-        q = np.quantile(self.errors, [0.25, 0.5, 0.75])
-        return float(q[0]), float(q[1]), float(q[2])
-
-
 @dataclass(frozen=True)
 class RmeReport:
     """Ratio of summed errors of two estimator streams."""
@@ -175,26 +152,18 @@ def fluctuation_test(fe_a, fe_b, mu: float = 0.3) -> FluctuationResult:
     if m < 2:
         raise ValueError("window would contain fewer than 2 points")
     delta = a - b
-    n_windows = L - m + 1
     cv = critical_value(mu)
-    if not delta.any():
-        stats = np.zeros(n_windows)
-        return FluctuationResult(
-            mu=mu,
-            m=m,
-            stats=stats,
-            critical_value=cv,
-            reject=np.zeros(n_windows, dtype=bool),
-            sigma2=0.0,
-            bandwidth=int(L ** (1.0 / 3.0)),
-        )
     bandwidth = int(L ** (1.0 / 3.0))
-    sigma2 = bartlett_long_run_variance(delta, bandwidth)
-    if sigma2 <= 0.0:
-        raise ValueError("long-run variance of the loss differential is not positive")
-    cumsum = np.concatenate([[0.0], np.cumsum(delta)])
-    window_sums = cumsum[m:] - cumsum[:-m]
-    stats = window_sums / (math.sqrt(sigma2) * math.sqrt(m))
+    if not delta.any():
+        stats = np.zeros(L - m + 1)
+        sigma2 = 0.0
+    else:
+        sigma2 = bartlett_long_run_variance(delta, bandwidth)
+        if sigma2 <= 0.0:
+            raise ValueError("long-run variance of the loss differential is not positive")
+        cumsum = np.concatenate([[0.0], np.cumsum(delta)])
+        window_sums = cumsum[m:] - cumsum[:-m]
+        stats = window_sums / (math.sqrt(sigma2) * math.sqrt(m))
     reject = np.abs(stats) > cv
     return FluctuationResult(
         mu=mu,

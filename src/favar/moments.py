@@ -43,6 +43,8 @@ class GramSystem:
             raise ValueError(f"Gamma must be {pd_}x{pd_}, got {G.shape}")
         if g.shape != (pd_, self.p):
             raise ValueError(f"gamma must be {pd_}x{self.p}, got {g.shape}")
+        if not (np.all(np.isfinite(G)) and np.all(np.isfinite(g))):
+            raise ValueError("Gamma or gamma is not finite: the second moments overflow")
         scale = max(1.0, float(np.max(np.abs(G))))
         if np.max(np.abs(G - G.T)) > 1e-10 * scale:
             raise ValueError("Gamma is not symmetric")

@@ -155,10 +155,3 @@ def mad_scales(x: PanelSeries) -> ScaleVector:
             f"column {x.names[j]!r} (index {j + 1}) has zero median absolute deviation"
         )
     return ScaleVector(sigma, method="mad")
-
-
-def standardise(x: PanelSeries, s: ScaleVector) -> PanelSeries:
-    """Divide each column by its scale; invertible given ``s``."""
-    if s.p != x.p:
-        raise ValueError(f"scale length {s.p} does not match panel width {x.p}")
-    return PanelSeries(x.values / s.sigma, x.names)

@@ -127,6 +127,9 @@ def cv_tau(x: PanelSeries, s: ScaleVector, d: int, grid: TauGrid) -> TauCvReport
     stack, k x (n - n // 2) x p doubles, within ``_TAU_STACK``: the whole
     60-point grid at (n, p) = (100, 10) and (120, 10), 26 points at
     (100, 50), 13 at (200, 50) and one at (600, 150).
+
+    Raises ``ValueError`` when a score is not finite, as when the panel's
+    moments overflow.
     """
     if d < 0:
         raise ValueError("lag range d must be non-negative")
@@ -150,8 +153,10 @@ def cv_tau(x: PanelSeries, s: ScaleVector, d: int, grid: TauGrid) -> TauCvReport
                 m = c.shape[1]
                 G = np.matmul(c[:, h:].transpose(0, 2, 1), c[:, : m - h]) / (m - h)
                 score_h = score_h + np.abs(G - other[h]).max(axis=(1, 2))
-            worst = np.fmax(worst, score_h)  # skips a NaN lag score (overflowed moments)
+            worst = np.maximum(worst, score_h)
         scores[lo : lo + per_stack] = worst
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("tau-CV scores are not finite: the panel's second moments overflow")
     minimisers = np.flatnonzero(scores == scores.min())
     chosen = int(minimisers[-1])  # ties resolved toward the largest tau
     return TauCvReport(grid=grid, scores=scores, chosen=chosen)

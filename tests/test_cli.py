@@ -80,6 +80,16 @@ def test_estimate_artifact_layout(tmp_path):
         assert (out / name).exists()
     summary = (out / "summary.txt").read_text()
     assert "tau" in summary and "lambda" in summary and "nonzeros" in summary
+    # the tau-CV curve: one row per point of the default 60-point grid
+    table = (out / "tau_scores.csv").read_text().splitlines()
+    assert table[0] == "tau,score"
+    assert len(table) == 61
+    assert "tau_scores.csv" in json.loads((out / "manifest.json").read_text())["files"]
+    fixed = tmp_path / "est_fixed"
+    code = main(["estimate", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
+                 "--r", "2", "--tau", "2.5", "--lambda", "0.1", "--out", str(fixed)])
+    assert code == 0
+    assert (fixed / "A_1.csv").exists() and not (fixed / "tau_scores.csv").exists()
 
 
 def replay_argv(manifest: dict, out) -> list[str]:
@@ -102,7 +112,6 @@ REPLAY_RUNS = {
     "estimate-fixed": ["estimate", "--input", "x.csv", "--tau", "inf", "--lambda", "0.05"],
     "forecast": ["forecast", "--input", "x.csv", "--window", "60", "--tau-grid-size", "8",
                  "--n-lambda", "6", "--n-folds", "3", "--baseline", "--fixed-tau"],
-    "cv-tau": ["cv-tau", "--input", "x_bare.csv", "--no-header", "--tau-grid-size", "10"],
     "fluctuation": ["evaluate", "--metric", "fluctuation", "--fe-a", "fa.csv",
                     "--fe-b", "fb.csv", "--mu", "0.25", "--plot"],
     "rme": ["evaluate", "--metric", "rme", "--norm", "l2", "--errs-a", "a.csv",
@@ -132,20 +141,6 @@ def test_manifest_replays_identically(tmp_path, monkeypatch, name):
     first = read_bytes(tmp_path / "first")
     assert first and first == read_bytes(tmp_path / "second")
     assert json.loads(Path("second/manifest.json").read_text()) == manifest
-
-
-def test_cv_tau_subcommand(tmp_path, capsys):
-    dgp = write_dgp(tmp_path, innovation="student_t", nu=2.1, n=100, p=5)
-    main(["simulate", "--dgp", str(dgp), "--reps", "1", "--seed", "2", "--out",
-          str(tmp_path / "sim")])
-    out = tmp_path / "cv"
-    code = main(["cv-tau", "--input", str(tmp_path / "sim" / "rep_0000" / "x.csv"),
-                 "--tau-grid-size", "10", "--cv-lags", "1", "--out", str(out)])
-    assert code == 0
-    assert "\ntau " in "\n" + capsys.readouterr().out
-    table = (out / "tau_scores.csv").read_text().splitlines()
-    assert table[0] == "tau,score"
-    assert len(table) == 11
 
 
 def test_forecast_outputs_and_baseline_alignment(tmp_path):
@@ -265,6 +260,26 @@ def test_stage_error_category(tmp_path, capsys):
     )
 
 
+def test_overflowing_moments_fail_at_their_stage(tmp_path, capsys):
+    # squares of a column near 1e160 overflow: tau-CV and the Gram system refuse them
+    x = np.random.default_rng(0).standard_normal((60, 4))
+    x[:, 1] *= 1e160
+    np.savetxt(tmp_path / "x.csv", x, delimiter=",", header="a,b,c,d", comments="")
+    overflow = "is not finite: the second moments overflow"
+    for tau, line in (
+        ("cv", "tau-cv: tau-CV scores are not finite: the panel's second moments overflow"),
+        ("inf", f"gram: Gamma or gamma {overflow}"),
+        ("2.5", f"gram: Gamma or gamma {overflow}"),
+    ):
+        out = tmp_path / f"o_{tau}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--tau", tau,
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error:stage:{line}\n"
+        assert not out.exists()
+
+
 BAD_CV_SIZES = {
     "estimate-grid": (["estimate", "--tau-grid-size", "1"],
                       "tau_grid_size must be at least 2, got 1"),
@@ -272,9 +287,6 @@ BAD_CV_SIZES = {
     "forecast-grid": (["forecast", "--tau-grid-size", "1"],
                       "tau_grid_size must be at least 2, got 1"),
     "forecast-folds": (["forecast", "--n-folds", "1"], "n_folds must be at least 2, got 1"),
-    "cv-tau-grid": (["cv-tau", "--tau-grid-size", "1"],
-                    "--tau-grid-size must be at least 2, got 1"),
-    "cv-tau-lags": (["cv-tau", "--cv-lags", "-1"], "--cv-lags must be non-negative, got -1"),
 }
 
 
@@ -509,6 +521,8 @@ def test_removed_flags_report_usage_error(tmp_path, capsys):
     assert main(["forecast", "--input", "x.csv", "--cv-lags", "1", "--out", "o"]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
     assert main(["estimate", "--input", "x.csv", "--cv-lags", "2", "--out", "o"]) == 2
+    assert capsys.readouterr().err.startswith("error:usage:")
+    assert main(["cv-tau", "--input", "x.csv", "--out", "o"]) == 2
     assert capsys.readouterr().err.startswith("error:usage:")
     for flag, value in (("--tau-cv", None), ("--lambda-cv", None), ("--order", "1"),
                         ("--folds", "3"), ("--factors", "2")):

@@ -3,7 +3,6 @@ import pytest
 
 from favar.evaluate import (
     CRITICAL_VALUES_FILE,
-    MetricReport,
     bartlett_long_run_variance,
     critical_value,
     fluctuation_test,
@@ -42,12 +41,6 @@ def test_norm_sandwich_on_random_matrices():
         high = matrix_error(a, b, "frobenius")
         assert low <= mid + 1e-15
         assert mid <= high + 1e-15
-
-
-def test_metric_report_aggregates():
-    report = MetricReport(metric="max_row_l2", errors=np.array([1.0, 3.0, 2.0, 4.0]))
-    assert report.mean == 2.5
-    assert report.quantiles[1] == 2.5
 
 
 def test_rme_identical_streams():

@@ -123,3 +123,16 @@ def test_gram_system_validates_shapes_and_symmetry():
         )
     with pytest.raises(ValueError, match="Gamma must be"):
         GramSystem(Gamma=np.eye(3), gamma=np.zeros((2, 2)), N=5, d=1, p=2)
+
+
+def test_gram_system_refuses_non_finite_moments():
+    # a NaN Gamma passes the symmetry check, as NaN > bound is False
+    for Gamma, gamma in ((np.full((2, 2), np.nan), np.zeros((2, 2))),
+                         (np.eye(2), np.array([[0.0, np.inf], [0.0, 0.0]]))):
+        with pytest.raises(ValueError, match="not finite"):
+            GramSystem(Gamma=Gamma, gamma=gamma, N=5, d=1, p=2)
+    values = np.random.default_rng(0).standard_normal((30, 2))
+    values[:, 0] *= 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            build_gram(values, d=1)

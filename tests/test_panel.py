@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from favar.panel import (
     PanelSeries,
-    ScaleVector,
     load_csv,
     mad_scales,
-    standardise,
     write_csv,
 )
 
@@ -114,32 +112,10 @@ def test_mad_permutation_equivariance(perm):
     np.testing.assert_array_equal(permuted, base[perm])
 
 
-def test_standardise_identity_and_hand_example():
-    panel = PanelSeries.from_values(np.array([[2.0], [4.0], [6.0]]))
-    unit = standardise(panel, ScaleVector(np.ones(1)))
-    np.testing.assert_array_equal(unit.values, panel.values)
-    halved = standardise(panel, ScaleVector(np.array([2.0])))
-    np.testing.assert_array_equal(halved.values, [[1.0], [2.0], [3.0]])
-
-
-def test_standardise_round_trip():
-    rng = np.random.default_rng(1)
-    panel = PanelSeries.from_values(rng.standard_normal((30, 4)))
-    scales = mad_scales(panel)
-    back = standardise(panel, scales).values * scales.sigma
-    np.testing.assert_allclose(back, panel.values, rtol=1e-12)
-
-
-def test_standardise_dimension_mismatch():
-    panel = PanelSeries.from_values(np.ones((3, 2)) * [[1.0, 2.0]] * 3)
-    with pytest.raises(ValueError, match="does not match"):
-        standardise(panel, ScaleVector(np.ones(3)))
-
-
 def test_standardised_columns_have_unit_mad():
     rng = np.random.default_rng(2)
     panel = PanelSeries.from_values(rng.standard_normal((41, 6)) * [1.0, 5.0, 0.2, 9.0, 3.0, 0.7])
-    out = standardise(panel, mad_scales(panel)).values
+    out = panel.values / mad_scales(panel).sigma
     med = np.median(out, axis=0)
     mad = np.median(np.abs(out - med), axis=0)
     np.testing.assert_allclose(mad, 1.0, rtol=0, atol=1e-12)

@@ -213,6 +213,18 @@ def test_cv_tau_fold_too_short():
         cv_tau(panel, scales, d=3, grid=grid)
 
 
+def test_cv_tau_refuses_overflowing_moments():
+    # squares of a column near 1e160 overflow to inf, and inf - inf is NaN
+    values = np.random.default_rng(0).standard_normal((60, 4))
+    values[:, 1] *= 1e160
+    panel = PanelSeries.from_values(values)
+    scales = mad_scales(panel)
+    grid = build_tau_grid(panel, scales, 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="scores are not finite"):
+            cv_tau(panel, scales, d=1, grid=grid)
+
+
 def test_rule_rejects_nonpositive_tau():
     with pytest.raises(ValueError, match="positive"):
         TruncationRule(0.0, ScaleVector(np.ones(2)))
