@@ -337,21 +337,29 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev
 # subcommands
 
 
+# each flag that a fixed setting makes inert: (flag, setting, the setting's CV word)
+_INERT_WHEN_FIXED = (
+    ("r_max", "r", "auto"),
+    ("tau_grid_size", "tau", "cv"),
+    ("n_lambda", "lambda", "cv"),
+    ("n_folds", "lambda", "cv"),
+    ("reselect_r", "r", "auto"),
+    ("fixed_tau", "tau", "cv"),
+)
+
+
 def _fit_options(args, options=FitOptions, **extra) -> FitOptions:
-    """The fit settings of estimate and forecast, one field per flag; a value
-    the options refuse is a usage error."""
+    """The fit settings of estimate and forecast, one field per flag. A flag
+    that a fixed setting makes inert, or a value the options refuse, is a
+    usage error; a flag left out takes the options' default."""
+    given = {k: v for k, v in vars(args).items() if v is not None and v is not False}
+    for flag, setting, word in _INERT_WHEN_FIXED:
+        if flag in given and given[setting] != word:
+            name = flag.replace("_", "-")
+            raise CliError("usage", f"--{name} has no effect with a fixed --{setting}")
+    sizes = {k: given[k] for k in ("r_max", "tau_grid_size", "n_lambda", "n_folds") if k in given}
     try:
-        return options(
-            r=args.r,
-            r_max=args.r_max,
-            d=args.d,
-            tau=args.tau,
-            tau_grid_size=args.tau_grid_size,
-            lam=vars(args)["lambda"],
-            n_lambda=args.n_lambda,
-            n_folds=args.n_folds,
-            **extra,
-        )
+        return options(r=args.r, d=args.d, tau=args.tau, lam=given["lambda"], **sizes, **extra)
     except ValueError as e:
         raise CliError("usage", str(e)) from e
 
@@ -554,16 +562,16 @@ def _add_fit_flags(sub):
     sub.add_argument("--no-header", action="store_true")
     sub.add_argument("--r", type=_number_or("auto", int), default=0,
                      help="factor number, or 'auto' for the IC_p2 criterion")
-    sub.add_argument("--r-max", type=int, default=8)
+    sub.add_argument("--r-max", type=int)
     sub.add_argument("--d", type=int, default=1, help="VAR order")
     sub.add_argument("--tau", type=_number_or("cv"), default="cv",
                      help="truncation level on the standardised scale: 'cv' "
                      "(cross-validated), a number, or inf for none")
-    sub.add_argument("--tau-grid-size", type=int, default=60)
+    sub.add_argument("--tau-grid-size", type=int)
     sub.add_argument("--lambda", type=_number_or("cv"), default="cv",
                      help="l1 penalty: 'cv' (cross-validated) or a number")
-    sub.add_argument("--n-lambda", type=int, default=50)
-    sub.add_argument("--n-folds", type=int, default=5)
+    sub.add_argument("--n-lambda", type=int)
+    sub.add_argument("--n-folds", type=int)
     sub.add_argument("--out", required=True)
 
 
@@ -614,13 +622,15 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "evaluate":
-            if args.metric == "rme" and not (args.errs_a and args.errs_b):
-                raise CliError("usage", "--metric rme needs --errs-a and --errs-b")
-            if args.metric == "fluctuation" and not (args.fe_a and args.fe_b):
-                raise CliError("usage", "--metric fluctuation needs --fe-a and --fe-b")
-        return args.func(args)
+        # a failure is one stderr line: numpy's floating-point warnings stay off it
+        with np.errstate(all="ignore"):
+            args = parser.parse_args(argv)
+            if args.command == "evaluate":
+                if args.metric == "rme" and not (args.errs_a and args.errs_b):
+                    raise CliError("usage", "--metric rme needs --errs-a and --errs-b")
+                if args.metric == "fluctuation" and not (args.fe_a and args.fe_b):
+                    raise CliError("usage", "--metric fluctuation needs --fe-a and --fe-b")
+            return args.func(args)
     except CliError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)
         return 2 if e.category == "usage" else 1

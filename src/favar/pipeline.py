@@ -16,7 +16,7 @@ from .factors import FactorFit, fit_factors, select_r
 from .moments import GramSystem, build_gram
 from .panel import PanelSeries, ScaleVector, mad_scales
 from .trunc import TauCvReport, TruncationRule, build_tau_grid, cv_tau, truncate
-from .varlasso import ConvergenceError, LambdaCvReport, VarFit, cv_lambda, fit_var
+from .varlasso import _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, cv_lambda, fit_var
 
 import numpy as np
 
@@ -48,11 +48,9 @@ class FitOptions:
     0..d. ``lam`` is either "cv" or a fixed penalty.
     ``r`` is a known factor number (0 for none) or "auto" for the
     information-criterion choice (the IC_p2 criterion). Every lasso solve,
-    in lambda-CV and in the final fit, walks its exact solution path:
-    ``max_iter`` is the knot budget of each path. ``tol`` is no stopping
-    rule but the final fit's certificate: each row's KKT gap must be at
-    most ``10 * tol`` times that row's largest ``|gamma|``, so it does not
-    depend on the units of the data.
+    in lambda-CV and in the final fit, walks its exact solution path with
+    ``varlasso``'s knot budget, and the final fit meets its KKT certificate
+    at ``varlasso``'s tolerance; the fit's ``config`` records both.
     """
 
     r: int | str = 0
@@ -63,8 +61,6 @@ class FitOptions:
     lam: float | str = "cv"
     n_lambda: int = 50
     n_folds: int = 5
-    tol: float = 1e-7
-    max_iter: int = 100_000
 
     def __post_init__(self):
         if self.d < 1:
@@ -117,7 +113,11 @@ class FavarFit:
 
 
 def refit_options(config: dict) -> FitOptions:
-    """Options that replay a previous fit with all tuning pinned."""
+    """Options that replay a previous fit with all tuning pinned.
+
+    The config's ``tol`` and ``max_iter`` are the solver's fixed defaults, which
+    no option sets, so they are not read.
+    """
     return FitOptions(
         r=config["r"],
         d=config["d"],
@@ -126,8 +126,6 @@ def refit_options(config: dict) -> FitOptions:
         tau_grid_size=config["tau_grid_size"],
         n_lambda=config["n_lambda"],
         n_folds=config["n_folds"],
-        tol=config["tol"],
-        max_iter=config["max_iter"],
     )
 
 
@@ -173,19 +171,13 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
     lambda_report = None
     if opts.lam == "cv":
         with _stage("lambda-cv"):
-            lambda_report = cv_lambda(
-                xi,
-                opts.d,
-                n_lambda=opts.n_lambda,
-                n_folds=opts.n_folds,
-                max_iter=opts.max_iter,
-            )
+            lambda_report = cv_lambda(xi, opts.d, n_lambda=opts.n_lambda, n_folds=opts.n_folds)
             lam = lambda_report.lam
     else:
         lam = float(opts.lam)
 
     with _stage("lasso"):
-        var = fit_var(gram, lam, tol=opts.tol, max_iter=opts.max_iter)
+        var = fit_var(gram, lam)
 
     config = {
         "r": r,
@@ -197,8 +189,8 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
         "tau_grid_size": opts.tau_grid_size,
         "n_lambda": opts.n_lambda,
         "n_folds": opts.n_folds,
-        "tol": opts.tol,
-        "max_iter": opts.max_iter,
+        "tol": _TOL,
+        "max_iter": _MAX_ITER,
     }
     return FavarFit(
         rule=rule,

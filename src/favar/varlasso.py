@@ -15,12 +15,12 @@ walking problem keeps Gamma_AA^-1 and updates it by one rank-one step per
 knot (Efron et al. 2004, section 7; Hager 1989) instead of refactorising
 its block: O(|A|^2) work per knot, not O(|A|^3). A join that leaves the
 block singular to working precision pins its problem to refactorising with
-``pinv``, the min-norm solution, from then on. ``fit_var`` and
-``lasso_row`` walk down to one penalty and read the solution off the
-segment that holds it; ``cv_lambda`` stacks the row problems of several
-training folds as the columns of one walk, each column reading its own
-fold's Gram matrix, and reads every grid penalty off it. ``max_iter`` bounds
-the knots.
+``pinv``, the min-norm solution, from then on. One reader, ``_path_at``,
+walks the paths once and reads each column's solution at every requested
+penalty off the segment that holds it: ``fit_var`` and ``lasso_row`` ask it
+for one penalty, ``cv_lambda`` for its grid, with the row problems of several
+training folds stacked as the columns of one walk, and then scores each fold
+on its own grid solutions. ``max_iter`` bounds the knots.
 The path is exact up to rounding, so ``tol`` is no stopping rule but a
 certificate checked once at the end: a row's first-order optimality (KKT)
 gap must be at most ``10 * tol`` times its largest ``|gamma_j|``, which
@@ -132,6 +132,8 @@ def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return live
 
 
+# the default KKT certificate tolerance and knot budget of every solve
+_TOL, _MAX_ITER = 1e-7, 100_000
 # lambda path depth: the grid runs down to this fraction of its largest value
 _LAMBDA_DEPTH = 1e-3
 # column-coordinates whose event candidates are searched together: a block
@@ -384,6 +386,40 @@ def _lasso_path(
         )
 
 
+def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: int,
+             fold: np.ndarray | None = None):
+    """Every column's exact-path solution at each of the decreasing ``mus``.
+
+    Walks ``_lasso_path`` once, down to ``mus[-1]``, and returns ``B``, the
+    pd x m x len(mus) solutions (column j's at ``mus[g]`` in ``B[:, j, g]``),
+    and the knots each column walked. Each solution is read off the segment
+    that holds its mu; above the path head's ``lo`` it is zero. If the knot
+    budget runs out, the ``ConvergenceError`` holds each column's solution at
+    ``mus[-1]``, or its last iterate if unfinished.
+    """
+    B = np.zeros(gamma.shape + (mus.size,))
+    knots = np.zeros(gamma.shape[1], dtype=int)
+    done = np.zeros(gamma.shape[1], dtype=bool)
+    try:
+        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mus[-1], max_iter, fold):
+            done[cols[lo <= mus[-1]]] = True
+            if hi[0] == np.inf:
+                continue  # the path head, where every solution is zero
+            knots[cols] += 1
+            g, i = np.nonzero((mus[:, None] >= lo) & (mus[:, None] < hi))
+            B[:, cols[i], g] = U[:, i] - mus[g] * V[:, i]
+    except ConvergenceError as e:
+        beta = B[:, :, -1].copy()
+        beta[:, ~done] = e.beta
+        raise ConvergenceError(
+            f"rows {np.flatnonzero(~done).tolist()} failed to converge: {e}",
+            beta=beta,
+            kkt_gap=e.kkt_gap,
+            iterations=knots,
+        ) from None
+    return B, knots
+
+
 def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_iter: int):
     """Every column's lasso solution at ``lam``, read off its exact path.
 
@@ -393,24 +429,8 @@ def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_
     """
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    mu = 0.5 * lam
-    B = np.zeros(gamma.shape)
-    knots = np.zeros(gamma.shape[1], dtype=int)
-    done = np.zeros(gamma.shape[1], dtype=bool)
-    try:
-        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu, max_iter):
-            knots[cols] += hi < np.inf
-            end = lo <= mu  # the segment that holds mu ends the column's walk
-            B[:, cols[end]] = U[:, end] - mu * V[:, end]
-            done[cols[end]] = True
-    except ConvergenceError as e:
-        B[:, ~done] = e.beta
-        raise ConvergenceError(
-            f"rows {np.flatnonzero(~done).tolist()} failed to converge: {e}",
-            beta=B,
-            kkt_gap=e.kkt_gap,
-            iterations=knots,
-        ) from None
+    B, knots = _path_at(Gamma, gamma, np.array([0.5 * lam]), max_iter)
+    B = B[:, :, 0]
     gaps = _kkt_gaps(2.0 * (Gamma @ B - gamma), B, lam)
     bad = np.flatnonzero(gaps > 10.0 * tol * np.abs(gamma).max(axis=0, initial=0.0))
     if bad.size:
@@ -425,7 +445,7 @@ def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_
 
 
 def lasso_row(
-    G: GramSystem, j: int, lam: float, tol: float = 1e-7, max_iter: int = 100_000
+    G: GramSystem, j: int, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER
 ) -> np.ndarray:
     """Solve the j-th row problem; returns the pd coefficient vector."""
     if not 0 <= j < G.p:
@@ -433,7 +453,7 @@ def lasso_row(
     return _solve_at(G.Gamma, G.gamma[:, [j]], lam, tol, max_iter)[0][:, 0]
 
 
-def fit_var(G: GramSystem, lam: float, tol: float = 1e-7, max_iter: int = 100_000) -> VarFit:
+def fit_var(G: GramSystem, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER) -> VarFit:
     """Solve all p row problems and assemble the lag blocks."""
     B, knots = _solve_at(G.Gamma, G.gamma, lam, tol, max_iter)
     A = B.T
@@ -468,13 +488,8 @@ def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
     return folds
 
 
-def cv_lambda(
-    xi_hat,
-    d: int,
-    n_lambda: int = 50,
-    n_folds: int = 5,
-    max_iter: int = 100_000,
-) -> LambdaCvReport:
+def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
+              max_iter: int = _MAX_ITER) -> LambdaCvReport:
     """Choose lambda by one-step-ahead prediction over contiguous time folds.
 
     The grid starts at the smallest lambda that zeroes the fit on the full
@@ -485,13 +500,15 @@ def cv_lambda(
 
     The training folds' row problems walk their exact solution paths as the
     columns of one ``_lasso_path`` over the stack of the folds' Gram
-    matrices, and every grid penalty is read off the segment that holds it,
-    so the scores carry no solver tolerance. A walk takes as many folds as
-    keep its worst-case inverse stack, columns x pd^2 doubles, within
-    ``_FOLD_STACK`` (all five folds when p = pd = 10, one when p = pd = 50),
-    so a step's fixed cost is paid once for those folds; the rest walk after
-    them. At most ``max_iter`` knots per path; refit at the chosen penalty
-    with ``fit_var``.
+    matrices, and ``_path_at`` reads every column's solution at every grid
+    penalty off the segment that holds it, so the scores carry no solver
+    tolerance. Each fold then predicts its own validation points from its
+    grid solutions in one product. A walk takes as many folds as keep its
+    worst-case inverse stack, columns x pd^2 doubles, within ``_FOLD_STACK``
+    (all five folds when p = pd = 10, one when p = pd = 50), so a step's
+    fixed cost is paid once for those folds; the rest walk after them. At
+    most ``max_iter`` knots per path; refit at the chosen penalty with
+    ``fit_var``.
     """
     values = _values(xi_hat)
     if n_folds < 2:
@@ -502,39 +519,22 @@ def cv_lambda(
     folds = _cv_folds(values, d, n_folds)
     lam_max = 2.0 * max(float(np.max(np.abs(g))) for g in [full.gamma] + [f[1] for f in folds])
     grid = np.geomspace(lam_max, lam_max * _LAMBDA_DEPTH, n_lambda)
-    mu_grid = 0.5 * grid
     p = values.shape[1]
     per_walk = max(1, _FOLD_STACK // (p * (p * d) ** 2))
     fold_scores = np.empty((n_folds, n_lambda))
-    knots = np.zeros((n_folds, p), dtype=int)
+    knots = np.empty((n_folds, p), dtype=int)
     for first in range(0, n_folds, per_walk):
         walk = folds[first : first + per_walk]
-        F = len(walk)
-        Gamma = np.stack([f[0] for f in walk])
-        gamma = np.concatenate([f[1] for f in walk], axis=1)
-        va_design = np.concatenate([f[2] for f in walk])
-        va_resp = np.concatenate([f[3] for f in walk])
-        # column c of the walk is row problem c % p of fold c // p, and every
-        # validation point of the stacked design belongs to one fold
-        fold = np.arange(F * p) // p
-        va_fold = np.repeat(np.arange(F), [f[2].shape[0] for f in walk])
-        sse = np.zeros(F * n_lambda)
-        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter, fold):
-            knots[first + fold[cols], cols % p] += hi < np.inf
-            g, i = np.nonzero((mu_grid[:, None] >= lo) & (mu_grid[:, None] < hi))
-            if g.size:
-                # the residual at mu is r + mu q, so its SSE is quadratic in
-                # mu; each column sums over its own fold's points only
-                own = va_fold[:, None] == fold[cols]
-                r = np.where(own, va_resp[:, cols % p] - va_design @ U, 0.0)
-                q = np.where(own, va_design @ V, 0.0)
-                rr, rq, qq = np.sum(r * r, axis=0), np.sum(r * q, axis=0), np.sum(q * q, axis=0)
-                mu = mu_grid[g]
-                pair_sse = rr[i] + mu * (2.0 * rq[i] + mu * qq[i])
-                sse += np.bincount(fold[cols[i]] * n_lambda + g, weights=pair_sse,
-                                   minlength=F * n_lambda)
-        sizes = np.array([f[3].size for f in walk])
-        fold_scores[first : first + F] = sse.reshape(F, n_lambda) / sizes[:, None]
+        # column c of the walk is row problem c % p of fold c // p
+        B, walk_knots = _path_at(np.stack([f[0] for f in walk]), np.hstack([f[1] for f in walk]),
+                                 0.5 * grid, max_iter, np.arange(len(walk) * p) // p)
+        knots[first : first + len(walk)] = walk_knots.reshape(-1, p)
+        for f, (_, _, va_design, va_resp) in enumerate(walk):
+            # fold f's solutions at every grid penalty predict its own points
+            resid = va_design @ B[:, f * p : (f + 1) * p].reshape(p * d, -1)
+            resid = resid.reshape(va_resp.shape + grid.shape) - va_resp[:, :, None]
+            fold_scores[first + f] = np.sum(resid * resid, axis=(0, 1)) / va_resp.size
+        del B, resid  # free this walk's buffers before the next walk builds its own
     mean_scores = fold_scores.mean(axis=0)
     return LambdaCvReport(
         grid=grid,

@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -272,12 +275,54 @@ def test_overflowing_moments_fail_at_their_stage(tmp_path, capsys):
         ("2.5", f"gram: Gamma or gamma {overflow}"),
     ):
         out = tmp_path / f"o_{tau}"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--tau", tau,
-                         "--out", str(out)])
+        code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--tau", tau,
+                     "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error:stage:{line}\n"
         assert not out.exists()
+
+
+def test_failing_run_prints_one_stderr_line(tmp_path):
+    # pytest captures numpy's RuntimeWarnings, so only a separate process
+    # shows the whole stderr: the overflow must not warn ahead of the error
+    x = np.random.default_rng(0).standard_normal((60, 4))
+    x[:, 1] *= 1e160
+    np.savetxt(tmp_path / "x.csv", x, delimiter=",", header="a,b,c,d", comments="")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    for tau, stage in (("cv", "tau-cv"), ("inf", "gram")):
+        done = subprocess.run(
+            [sys.executable, "-m", "favar", "estimate", "--input", "x.csv", "--tau", tau,
+             "--out", "o"], cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error:stage:{stage}: ")
+        assert done.stderr.count("\n") == 1
+
+
+INERT_FLAGS = {
+    "r-max": (["estimate", "--r", "2", "--r-max", "4"], "--r-max", "--r"),
+    "r-max-default-r": (["forecast", "--r-max", "4"], "--r-max", "--r"),
+    "tau-grid-size": (["estimate", "--tau", "2.5", "--tau-grid-size", "8"],
+                      "--tau-grid-size", "--tau"),
+    "n-lambda": (["estimate", "--lambda", "0.1", "--n-lambda", "10"], "--n-lambda", "--lambda"),
+    "n-folds": (["forecast", "--lambda", "0.1", "--n-folds", "3"], "--n-folds", "--lambda"),
+    "reselect-r": (["forecast", "--r", "1", "--reselect-r"], "--reselect-r", "--r"),
+    "fixed-tau": (["forecast", "--tau", "inf", "--fixed-tau"], "--fixed-tau", "--tau"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, setting", INERT_FLAGS.values(), ids=INERT_FLAGS.keys())
+def test_flags_a_fixed_setting_makes_inert_are_usage_errors(tmp_path, capsys, argv, flag,
+                                                             setting):
+    (tmp_path / "x.csv").write_text(
+        "a,b\n" + "\n".join(f"{i % 7},{(3 * i) % 5}" for i in range(30)) + "\n"
+    )
+    out = tmp_path / "o"
+    code = main([*argv, "--input", str(tmp_path / "x.csv"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error:usage: {flag} has no effect with a fixed {setting}\n"
+    assert not out.exists()
 
 
 BAD_CV_SIZES = {
@@ -506,6 +551,15 @@ def test_tau_and_lambda_flags_reach_fit_options(tmp_path, monkeypatch, capsys):
     assert [(o.tau, o.lam) for o in seen] == [
         ("cv", "cv"), ("cv", "cv"), (math.inf, 0.1), ("cv", "cv"),
     ]
+    # a flag is honoured where its setting is cross-validated; one left out
+    # takes the options' default
+    main(["estimate", *flags, "--r", "auto", "--r-max", "4", "--tau-grid-size", "8",
+          "--n-lambda", "10", "--n-folds", "3"])
+    main(["forecast", "--window", "20", *flags, "--r", "auto", "--reselect-r", "--fixed-tau"])
+    assert [(o.r_max, o.tau_grid_size, o.n_lambda, o.n_folds) for o in seen[2:]] == [
+        (8, 60, 50, 5), (8, 60, 50, 5), (4, 8, 10, 3), (8, 60, 50, 5),
+    ]
+    assert seen[-1].reselect_r and not seen[-1].reselect_tau
     capsys.readouterr()
     # a word the flag does not take, or a value the options refuse
     for bad in (["--tau", "auto"], ["--lambda", "x"], ["--r", "cv"], ["--r", "-1"],

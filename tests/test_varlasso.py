@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,22 @@ def test_cv_lambda_path_meets_kkt_at_every_grid_lambda():
     assert report.knots.shape == (5, 50) and report.knots.min() > 0
     for Gamma, gamma, _, _ in _cv_folds(values, 1, 5):
         assert worst_relative_kkt_gap(Gamma, gamma, 0.5 * report.grid) <= 1e-10
+
+
+def test_cv_lambda_frees_each_walks_solutions_before_the_next_walk():
+    # on the criterion 4 panel each fold walks alone, and its grid solutions
+    # are pd x p x n_lambda doubles, 1 MB. Freed before the next walk starts,
+    # the traced peak is about 3.9 MB; a walk's buffers kept alive into the
+    # next raise it to about 5.3 MB, above the 4.5 MB bound
+    spec = DgpSpec(n=100, p=50, var_design="banded", factor_design="none", seed=0)
+    values = simulate_panel(spec).xi
+    tracemalloc.start()
+    try:
+        cv_lambda(values, d=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6
 
 
 def test_cv_lambda_knot_budget_raises_convergence_error():
