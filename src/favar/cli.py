@@ -24,7 +24,7 @@ import numpy as np
 from . import evaluate as ev
 from ._rng import derive_seed
 from .forecast import ForecastOptions, align_origins, rolling_forecast
-from .panel import load_csv, write_csv
+from .panel import load_csv, write_csv, write_table
 from .pipeline import FitOptions, StageError, fit
 from .simulate import DgpSpec, simulate_panel
 
@@ -78,14 +78,6 @@ def _parse_value(text: str):
     except ValueError:
         pass
     return text
-
-
-def _write_matrix(path, matrix, header) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def _read_vector(path) -> np.ndarray:
@@ -321,13 +313,9 @@ def run_experiment(cfg: ExperimentConfig, verbose: bool = False) -> dict[str, ev
 
     if cfg.out is not None:
         out = Path(cfg.out)
-        with open(out / "rme.csv", "w", encoding="utf-8") as fh:
-            fh.write("norm,numerator,denominator,ratio,reps\n")
-            for norm, rep in reports.items():
-                fh.write(
-                    f"{norm},{rep.numerator:.17g},{rep.denominator:.17g},"
-                    f"{rep.ratio:.17g},{rep.count}\n"
-                )
+        write_table(out / "rme.csv", ["norm", "numerator", "denominator", "ratio", "reps"],
+                    [(norm, rep.numerator, rep.denominator, rep.ratio, rep.count)
+                     for norm, rep in reports.items()])
         files = ["rme.csv"] + [f"replications/rep_{i:04d}.json" for i in range(cfg.reps)]
         _manifest(out, "experiment", {**fingerprint, "reps": cfg.reps}, files)
     return reports
@@ -381,14 +369,14 @@ def cmd_simulate(args) -> int:
         rep_dir = out / f"rep_{rep:04d}"
         rep_dir.mkdir(exist_ok=True)
         write_csv(panel.x, rep_dir / "x.csv")
-        _write_matrix(rep_dir / "truth_A.csv", panel.A, panel.x.names)
-        _write_matrix(rep_dir / "truth_chi.csv", panel.chi, panel.x.names)
-        _write_matrix(rep_dir / "truth_xi.csv", panel.xi, panel.x.names)
+        write_table(rep_dir / "truth_A.csv", panel.x.names, panel.A)
+        write_table(rep_dir / "truth_chi.csv", panel.x.names, panel.chi)
+        write_table(rep_dir / "truth_xi.csv", panel.x.names, panel.xi)
         rep_files = ["x.csv", "truth_A.csv", "truth_chi.csv", "truth_xi.csv"]
         if panel.F.shape[1] > 0:
             factor_names = [f"F{j + 1}" for j in range(panel.F.shape[1])]
-            _write_matrix(rep_dir / "truth_Lambda.csv", panel.Lambda, factor_names)
-            _write_matrix(rep_dir / "truth_F.csv", panel.F, factor_names)
+            write_table(rep_dir / "truth_Lambda.csv", factor_names, panel.Lambda)
+            write_table(rep_dir / "truth_F.csv", factor_names, panel.F)
             rep_files += ["truth_Lambda.csv", "truth_F.csv"]
         files.extend(f"rep_{rep:04d}/{name}" for name in rep_files)
     _manifest(
@@ -410,16 +398,16 @@ def cmd_estimate(args) -> int:
     files = []
     if result.factors is not None:
         factor_names = [f"F{j + 1}" for j in range(result.r)]
-        _write_matrix(out / "loadings.csv", result.factors.loadings, factor_names)
-        _write_matrix(out / "factors.csv", result.factors.factors, factor_names)
+        write_table(out / "loadings.csv", factor_names, result.factors.loadings)
+        write_table(out / "factors.csv", factor_names, result.factors.factors)
         files += ["loadings.csv", "factors.csv"]
     for ell, block in enumerate(result.var.A_blocks, start=1):
-        _write_matrix(out / f"A_{ell}.csv", block, x.names)
+        write_table(out / f"A_{ell}.csv", x.names, block)
         files.append(f"A_{ell}.csv")
     report = result.tau_report
     if report is not None:
         table = np.column_stack([report.grid.values, report.scores])
-        _write_matrix(out / "tau_scores.csv", table, ["tau", "score"])
+        write_table(out / "tau_scores.csv", ["tau", "score"], table)
         files.append("tau_scores.csv")
     nnz = result.var.nonzeros
     total = result.var.A.size
@@ -445,6 +433,10 @@ def cmd_forecast(args) -> int:
         reselect_r=args.reselect_r, reselect_tau=not args.fixed_tau,
     )
     x = load_csv(args.input, has_header=not args.no_header)
+    run = rolling_forecast(x, opts)
+    if run.origins.size == 0:
+        t, reason = run.skipped[0]
+        raise StageError("forecast", f"no origin forecast; the first, {t}, failed: {reason}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -453,11 +445,10 @@ def cmd_forecast(args) -> int:
         header = ["origin", *x.names]
         fc = np.column_stack([run.origins[rows], run.forecasts[rows]])
         fe = np.column_stack([run.origins[rows], run.errors()[rows]])
-        _write_matrix(out / f"forecasts{suffix}.csv", fc, header)
-        _write_matrix(out / f"fe{suffix}.csv", fe, header)
+        write_table(out / f"forecasts{suffix}.csv", header, fc)
+        write_table(out / f"fe{suffix}.csv", header, fe)
         files.extend([f"forecasts{suffix}.csv", f"fe{suffix}.csv"])
 
-    run = rolling_forecast(x, opts)
     if args.baseline:
         # both runs are written on the origins they share, so their error
         # files pair row by row
@@ -484,9 +475,8 @@ def cmd_evaluate(args) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            with open(out / "rme.csv", "w", encoding="utf-8") as fh:
-                fh.write("metric,norm,value,reps\n")
-                fh.write(f"rme,{args.norm},{value:.17g},{errs_a.size}\n")
+            write_table(out / "rme.csv", ["metric", "norm", "value", "reps"],
+                        [("rme", args.norm, value, errs_a.size)])
             _flag_manifest(args, ["rme.csv"])
         return 0
     # fluctuation mode: compare two per-origin forecast-error files series by series
@@ -519,14 +509,12 @@ def cmd_evaluate(args) -> int:
         )
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "fluctuation_summary.csv", "w", encoding="utf-8") as fh:
-            fh.write("series,window,reject,favours\n")
-            for name, m, rej, direction in rows:
-                fh.write(f"{name},{m},{rej},{direction}\n")
+        write_table(out / "fluctuation_summary.csv",
+                    ["series", "window", "reject", "favours"], rows)
         files.append("fluctuation_summary.csv")
         for name, result in stats_by_series.items():
             stem = f"fluctuation_{name}"
-            _write_matrix(out / f"{stem}.csv", result.stats.reshape(-1, 1), ["statistic"])
+            write_table(out / f"{stem}.csv", ["statistic"], result.stats.reshape(-1, 1))
             files.append(f"{stem}.csv")
             if args.plot:
                 _svg_line_plot(

@@ -97,14 +97,17 @@ def fit_factors(x_trunc: PanelSeries, r: int) -> FactorFit:
     )
 
 
-def select_r(x_trunc: PanelSeries, r_max: int) -> FactorNumberReport:
+def select_r(x_trunc: PanelSeries, r_max: int | None = None) -> FactorNumberReport:
     """Choose the factor number with the IC_p2 criterion of Bai & Ng (2002).
 
     The criterion is log V(k) + k * (n+p)/(np) * log(min(n, p)), where V(k)
     is the mean squared principal-component residual using k factors; k = 0
-    is included so "no factors" is selectable.
+    is included so "no factors" is selectable. ``r_max`` is at most
+    min(n, p)/2, and min(8, min(n, p)/2) when left as None.
     """
     n, p = x_trunc.n, x_trunc.p
+    if r_max is None:
+        r_max = min(8, min(n, p) // 2)
     if not 1 <= r_max <= min(n, p) // 2:
         raise ValueError(f"r_max={r_max} outside 1..min(n, p)/2={min(n, p) // 2}")
     eigvals, _ = _eigendecompose(x_trunc.values)

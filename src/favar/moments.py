@@ -53,12 +53,15 @@ class GramSystem:
 
 
 def autocov(x, h: int) -> np.ndarray:
-    """Lag-h sample second-moment matrix of a panel or array, divisor n - h, no centring."""
+    """Lag-h sample second-moment matrix of a panel or array, divisor n - h, no centring.
+
+    A stack of arrays, (..., n, p), gives the stack of their p x p moments.
+    """
     values = _values(x)
-    n = values.shape[0]
+    n = values.shape[-2]
     if h < 0 or h >= n:
         raise ValueError(f"lag {h} out of range for {n} observations")
-    return values[h:].T @ values[: n - h] / (n - h)
+    return np.swapaxes(values[..., h:, :], -1, -2) @ values[..., : n - h, :] / (n - h)
 
 
 def _segment_gram(values: np.ndarray, segments, d: int):

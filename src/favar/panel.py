@@ -1,9 +1,9 @@
 """Multivariate time-series panels: container, CSV I/O, robust scaling.
 
 A panel is an n x p matrix of observations, rows indexed by time. CSV is the
-only on-disk format: comma separated, UTF-8, '.' decimal, optional single
-header row. Values are written with 17 significant digits so that a
-write/read round trip is lossless.
+only on-disk format: comma separated, UTF-8, '.' decimal, LF line ends,
+optional single header row. Values are written with 17 significant digits
+so that a write/read round trip is lossless.
 """
 
 from __future__ import annotations
@@ -130,14 +130,21 @@ def load_csv(path, has_header: bool = True) -> PanelSeries:
     return PanelSeries(values, names)
 
 
+def write_table(path, header, rows) -> None:
+    """Write a header row and ``rows`` as CSV with LF line ends, quoting cells as needed.
+
+    Float cells get 17 significant digits; any other cell is written as it prints.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
 def write_csv(x: PanelSeries, path) -> None:
     """Write a panel with a header row and 17 significant digits per value."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(x.names)
-        for row in x.values:
-            writer.writerow([format(v, ".17g") for v in row])
+    write_table(path, x.names, x.values)
 
 
 def mad_scales(x: PanelSeries) -> ScaleVector:

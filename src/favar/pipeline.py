@@ -47,14 +47,15 @@ class FitOptions:
     ``inf`` for no truncation; its CV scores the autocovariances at lags
     0..d. ``lam`` is either "cv" or a fixed penalty.
     ``r`` is a known factor number (0 for none) or "auto" for the
-    information-criterion choice (the IC_p2 criterion). Every lasso solve,
-    in lambda-CV and in the final fit, walks its exact solution path with
+    information-criterion choice (the IC_p2 criterion) over at most ``r_max``
+    factors, by default min(8, min(n, p)/2) (see ``select_r``). Every lasso
+    solve, in lambda-CV and in the final fit, walks its exact solution path with
     ``varlasso``'s knot budget, and the final fit meets its KKT certificate
     at ``varlasso``'s tolerance; the fit's ``config`` records both.
     """
 
     r: int | str = 0
-    r_max: int = 8
+    r_max: int | None = None
     d: int = 1
     tau: float | str = "cv"
     tau_grid_size: int = 60
@@ -80,8 +81,12 @@ class FitOptions:
                 raise ValueError('lam must be a number or "cv"')
         elif not 0.0 <= self.lam < math.inf:
             raise ValueError("fixed lambda must be finite and non-negative")
+        if self.r_max is not None and self.r_max < 1:
+            raise ValueError(f"r_max must be at least 1, got {self.r_max}")
         if self.tau_grid_size < 2:
             raise ValueError(f"tau_grid_size must be at least 2, got {self.tau_grid_size}")
+        if self.n_lambda < 1:
+            raise ValueError(f"n_lambda must be at least 1, got {self.n_lambda}")
         if self.n_folds < 2:
             raise ValueError(f"n_folds must be at least 2, got {self.n_folds}")
 

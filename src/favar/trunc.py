@@ -121,9 +121,8 @@ def cv_tau(x: PanelSeries, s: ScaleVector, d: int, grid: TauGrid) -> TauCvReport
     and the two fold terms are summed; the score takes the max over lags.
 
     The grid is scored in stacks of ``k`` points: each fold is clipped once
-    into a (k, m, p) stack, each lag's k moment matrices come from one
-    batched product in ``autocov``'s order of operations, so the scores equal
-    those of one tau at a time bit for bit. ``k`` keeps the larger fold's
+    into a (k, m, p) stack, and ``autocov`` forms each lag's k moment
+    matrices in one batched product. ``k`` keeps the larger fold's
     stack, k x (n - n // 2) x p doubles, within ``_TAU_STACK``: the whole
     60-point grid at (n, p) = (100, 10) and (120, 10), 26 points at
     (100, 50), 13 at (200, 50) and one at (600, 150).
@@ -150,9 +149,7 @@ def cv_tau(x: PanelSeries, s: ScaleVector, d: int, grid: TauGrid) -> TauCvReport
         for h in range(d + 1):
             score_h = 0.0
             for c, other in zip(clipped, plain[::-1]):
-                m = c.shape[1]
-                G = np.matmul(c[:, h:].transpose(0, 2, 1), c[:, : m - h]) / (m - h)
-                score_h = score_h + np.abs(G - other[h]).max(axis=(1, 2))
+                score_h = score_h + np.abs(autocov(c, h) - other[h]).max(axis=(1, 2))
             worst = np.maximum(worst, score_h)
         scores[lo : lo + per_stack] = worst
     if not np.all(np.isfinite(scores)):

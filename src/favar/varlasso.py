@@ -138,7 +138,10 @@ _TOL, _MAX_ITER = 1e-7, 100_000
 _LAMBDA_DEPTH = 1e-3
 # column-coordinates whose event candidates are searched together: a block
 # holds _SEARCH_BLOCK // pd columns (16 at pd = 300), which bounds the memory
-# of the candidate stack, 3 x pd per column, whatever pd is
+# of the candidate stack, 3 x pd per column, whatever pd is. Searching all
+# columns at once gives the same fits, but on the benchmark's (600, 150) d = 2
+# fits it raised peak RSS from 67.1-67.2 to 76.1-76.3 MB (3 runs each, one
+# BLAS thread), past that metric's 10% bound
 _SEARCH_BLOCK = 16 * 300
 # doubles the inverse stack of one lambda-CV walk may reach in the worst case,
 # every column's active set at pd (1 MiB): it sets how many folds walk at once
@@ -282,9 +285,10 @@ def _lasso_path(
     solution is zero (``U = V = 0``). After it, every unfinished column
     advances one knot per segment, so the segments of a column tile
     ``[mu_stop, inf)`` with no overlap. A column finishes once its segment
-    reaches ``mu_stop``; ``ConvergenceError`` is raised if one is unfinished
-    after ``max_iter`` knots, with its iterate at the last knot and that
-    iterate's KKT gap at lambda = 2 ``mu_stop``.
+    reaches ``mu_stop``. The walk stops after ``max_iter`` knots, finished or
+    not, and raises nothing: the columns of its last segment whose ``lo``
+    is still above ``mu_stop`` are the unfinished ones, and ``_path_at``
+    reports them.
 
     At a knot the correlations c(mu) = gamma - Gamma b(mu) = cu + mu cv are
     linear too, so the next event of each coordinate has a closed form.
@@ -370,20 +374,6 @@ def _lasso_path(
         bar_kind[cols] = np.where(kind == 2, (old < 0.0).astype(int), 2)
         bar_coord[cols] = k
         mu[cols] = lo[go]
-    if cols.size:
-        U, V = inv.solve(gamma, S, cols)
-        B = U - mu[cols] * V
-        grad = 2.0 * (_fold_products(Gamma, fold[cols], B) - gamma[:, cols])
-        gap = float(_kkt_gaps(grad, B, 2.0 * mu_stop).max())
-        knots = np.zeros(m, dtype=int)
-        knots[cols] = max_iter
-        raise ConvergenceError(
-            f"{cols.size} of {m} lasso paths unfinished after {max_iter} knots "
-            f"(worst KKT gap {gap:.3e})",
-            beta=B,
-            kkt_gap=gap,
-            iterations=knots,
-        )
 
 
 def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: int,
@@ -393,30 +383,32 @@ def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: in
     Walks ``_lasso_path`` once, down to ``mus[-1]``, and returns ``B``, the
     pd x m x len(mus) solutions (column j's at ``mus[g]`` in ``B[:, j, g]``),
     and the knots each column walked. Each solution is read off the segment
-    that holds its mu; above the path head's ``lo`` it is zero. If the knot
-    budget runs out, the ``ConvergenceError`` holds each column's solution at
-    ``mus[-1]``, or its last iterate if unfinished.
+    that holds its mu; above the path head's ``lo`` it is zero.
+
+    The walk's last segment tells whether it finished: a column whose
+    segment ends above ``mus[-1]`` ran out of the ``max_iter`` knots. Then
+    ``ConvergenceError`` is raised, holding each column's solution at
+    ``mus[-1]``, or for an unfinished column its iterate at its last knot,
+    and the worst KKT gap of those iterates at lambda = 2 ``mus[-1]``.
     """
     B = np.zeros(gamma.shape + (mus.size,))
     knots = np.zeros(gamma.shape[1], dtype=int)
-    done = np.zeros(gamma.shape[1], dtype=bool)
-    try:
-        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mus[-1], max_iter, fold):
-            done[cols[lo <= mus[-1]]] = True
-            if hi[0] == np.inf:
-                continue  # the path head, where every solution is zero
-            knots[cols] += 1
-            g, i = np.nonzero((mus[:, None] >= lo) & (mus[:, None] < hi))
-            B[:, cols[i], g] = U[:, i] - mus[g] * V[:, i]
-    except ConvergenceError as e:
-        beta = B[:, :, -1].copy()
-        beta[:, ~done] = e.beta
-        raise ConvergenceError(
-            f"rows {np.flatnonzero(~done).tolist()} failed to converge: {e}",
-            beta=beta,
-            kkt_gap=e.kkt_gap,
-            iterations=knots,
-        ) from None
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mus[-1], max_iter, fold):
+        if hi[0] == np.inf:
+            continue  # the path head, where every solution is zero
+        knots[cols] += 1
+        g, i = np.nonzero((mus[:, None] >= lo) & (mus[:, None] < hi))
+        B[:, cols[i], g] = U[:, i] - mus[g] * V[:, i]
+    left = lo > mus[-1]
+    if left.any():
+        cols, beta = cols[left], B[:, :, -1].copy()
+        beta[:, cols] = U[:, left] - lo[left] * V[:, left]
+        fold = np.zeros(gamma.shape[1], dtype=int) if fold is None else fold
+        GB = _fold_products(Gamma.reshape((-1,) + Gamma.shape[-2:]), fold[cols], beta[:, cols])
+        gap = float(_kkt_gaps(2.0 * (GB - gamma[:, cols]), beta[:, cols], 2.0 * mus[-1]).max())
+        raise ConvergenceError(f"rows {cols.tolist()} unfinished after {max_iter} knots "
+                               f"(worst KKT gap {gap:.3e})",
+                               beta=beta, kkt_gap=gap, iterations=knots)
     return B, knots
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from favar import cli
 from favar.cli import ExperimentConfig, main, parse_config, run_experiment
+from favar.panel import load_csv
 from favar.simulate import DgpSpec
 
 
@@ -165,6 +166,25 @@ def test_forecast_outputs_and_baseline_alignment(tmp_path):
     assert [row.split(",")[0] for row in main_fe] == [row.split(",")[0] for row in base_fe]
 
 
+def test_forecast_of_no_origin_is_a_stage_error(tmp_path, capsys):
+    # 20 factors do not fit a 10-variable panel, so every origin is skipped
+    rng = np.random.default_rng(3)
+    (tmp_path / "x.csv").write_text(
+        ",".join(f"V{i + 1}" for i in range(10)) + "\n"
+        + "\n".join(",".join(f"{v:.6f}" for v in row) for row in rng.standard_normal((40, 10)))
+        + "\n"
+    )
+    out = tmp_path / "fc"
+    code = main(["forecast", "--input", str(tmp_path / "x.csv"), "--window", "30",
+                 "--r", "20", "--tau", "inf", "--lambda", "0.1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:stage:forecast: no origin forecast; the first, 29, failed: "
+        "factors: factor number r=20 outside 1..min(n, p)=10\n"
+    )
+    assert not out.exists()
+
+
 def test_forecast_baseline_written_on_shared_origins(tmp_path):
     # a constant stretch zeroes the MAD of V1 in most windows, so the robust
     # run skips those origins while the untruncated baseline forecasts them
@@ -252,6 +272,20 @@ def test_missing_input_reports_input_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_estimate_writes_names_holding_commas_readably(tmp_path):
+    rng = np.random.default_rng(8)
+    (tmp_path / "x.csv").write_text(
+        '"a,b",c\n' + "\n".join(f"{u:.6f},{v:.6f}" for u, v in rng.standard_normal((30, 2)))
+        + "\n"
+    )
+    out = tmp_path / "est"
+    code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--tau", "inf",
+                 "--lambda", "0.01", "--out", str(out)])
+    assert code == 0
+    A = load_csv(out / "A_1.csv")
+    assert A.names == ("a,b", "c") and A.values.shape == (2, 2)
+
+
 def test_stage_error_category(tmp_path, capsys):
     # constant first column cannot be scaled, so the scales stage fails
     (tmp_path / "x.csv").write_text("a,b\n" + "\n".join(f"1,{i}" for i in range(20)) + "\n")
@@ -332,6 +366,12 @@ BAD_CV_SIZES = {
     "forecast-grid": (["forecast", "--tau-grid-size", "1"],
                       "tau_grid_size must be at least 2, got 1"),
     "forecast-folds": (["forecast", "--n-folds", "1"], "n_folds must be at least 2, got 1"),
+    "estimate-lambdas": (["estimate", "--n-lambda", "0"], "n_lambda must be at least 1, got 0"),
+    "forecast-lambdas": (["forecast", "--n-lambda", "0"], "n_lambda must be at least 1, got 0"),
+    "estimate-r-max": (["estimate", "--r", "auto", "--r-max", "0"],
+                       "r_max must be at least 1, got 0"),
+    "forecast-r-max": (["forecast", "--r", "auto", "--r-max", "0"],
+                       "r_max must be at least 1, got 0"),
 }
 
 
@@ -475,11 +515,12 @@ def test_run_experiment_rejects_zero_reps_before_writing(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["tau_grid_size", "n_folds"])
-def test_run_experiment_rejects_bad_cv_sizes_before_writing(tmp_path, field):
+@pytest.mark.parametrize("field, least", [("tau_grid_size", 2), ("n_folds", 2), ("n_lambda", 1)],
+                         ids=["tau_grid_size", "n_folds", "n_lambda"])
+def test_run_experiment_rejects_bad_cv_sizes_before_writing(tmp_path, field, least):
     out = tmp_path / "cell"
-    with pytest.raises(ValueError, match=f"^{field} must be at least 2"):
-        run_experiment(replace(experiment_config(out), **{field: 1}))
+    with pytest.raises(ValueError, match=f"^{field} must be at least {least}"):
+        run_experiment(replace(experiment_config(out), **{field: least - 1}))
     assert not out.exists()
 
 
@@ -557,7 +598,7 @@ def test_tau_and_lambda_flags_reach_fit_options(tmp_path, monkeypatch, capsys):
           "--n-lambda", "10", "--n-folds", "3"])
     main(["forecast", "--window", "20", *flags, "--r", "auto", "--reselect-r", "--fixed-tau"])
     assert [(o.r_max, o.tau_grid_size, o.n_lambda, o.n_folds) for o in seen[2:]] == [
-        (8, 60, 50, 5), (8, 60, 50, 5), (4, 8, 10, 3), (8, 60, 50, 5),
+        (None, 60, 50, 5), (None, 60, 50, 5), (4, 8, 10, 3), (None, 60, 50, 5),
     ]
     assert seen[-1].reselect_r and not seen[-1].reselect_tau
     capsys.readouterr()

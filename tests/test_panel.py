@@ -58,9 +58,10 @@ def test_load_csv_ragged_rows_rejected(tmp_path):
 def test_write_then_load_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-12, 12, (20, 5))
-    panel = PanelSeries.from_values(values)
+    panel = PanelSeries.from_values(values, ["V1", "a,b", 'say "x"', "V4", "V5"])
     path = tmp_path / "x.csv"
     write_csv(panel, path)
+    assert b"\r" not in path.read_bytes()  # LF line ends
     back = load_csv(path)
     assert back.names == panel.names
     np.testing.assert_allclose(back.values, panel.values, rtol=1e-12, atol=0.0)

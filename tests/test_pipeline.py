@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +70,15 @@ def test_auto_factor_number_flows_through():
     assert result.factors is not None
 
 
+def test_auto_factor_number_defaults_its_maximum_to_the_panel():
+    # the largest r_max select_r accepts on a p = 10 panel is 5, below 8
+    spec = DgpSpec(n=120, p=10, var_design="none", factor_design="var1_factors", r=2, seed=4)
+    result = fit(simulate_panel(spec).x, FitOptions(r="auto", d=1, tau=math.inf, lam=0.1))
+    assert 0 <= result.r <= 5
+    with pytest.raises(StageError, match="r_max=8 outside 1..min"):
+        fit(simulate_panel(spec).x, FitOptions(r="auto", r_max=8, tau=math.inf, lam=0.1))
+
+
 def test_r0_idio_is_truncated_data():
     panel = noise_panel(5)
     result = fit(panel, FitOptions(r=0, d=1, tau=2.0, lam=0.3))
@@ -126,3 +137,15 @@ def test_fit_is_invariant_to_rescaling_the_panel():
         assert scaled.tau_report.chosen == base.tau_report.chosen
         assert scaled.lambda_report.chosen == base.lambda_report.chosen
         np.testing.assert_allclose(scaled.var.A, base.var.A, rtol=0, atol=1e-10)
+
+
+def test_every_call_the_benchmark_traces_resolves(monkeypatch):
+    # the benchmark traces favar by wrapping these (module, attribute) pairs
+    # from outside, so a name a refactor drops breaks its trace
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "favarbench"))
+    import favar
+    layers = importlib.import_module("layers")
+    targets = layers.patch_targets(favar)
+    assert targets
+    for module, attr in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
