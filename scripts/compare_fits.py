@@ -114,14 +114,16 @@ def outputs(name: str, rnd) -> dict:
     return {}
 
 
+def tree_env(src: str) -> dict:
+    """The environment of a process that imports favar from ``src``, with one BLAS thread."""
+    return {**os.environ, "PYTHONPATH": str(Path(src).resolve()),
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def run_tree(src: str) -> dict:
     with tempfile.NamedTemporaryFile(suffix=".pkl") as out:
-        subprocess.run(
-            [sys.executable, __file__, "--collect", out.name],
-            env={**os.environ, "PYTHONPATH": str(Path(src).resolve()),
-                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
-            check=True,
-        )
+        subprocess.run([sys.executable, __file__, "--collect", out.name], env=tree_env(src),
+                       check=True)
         return pickle.loads(Path(out.name).read_bytes())
 
 

@@ -36,6 +36,7 @@ from .varlasso import (
     ConvergenceError,
     LambdaCvReport,
     VarFit,
+    certify,
     cv_lambda,
     fit_var,
     kkt_gap,

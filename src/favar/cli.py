@@ -464,6 +464,17 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+# the longest file name, in bytes, of the common Linux, macOS and Windows file systems
+_NAME_MAX = 255
+
+
+def _check_file_stem(stem: str) -> None:
+    """Refuse ``stem`` unless ``stem.csv`` and ``stem.svg`` can name files in one directory."""
+    separators = {"\0", os.sep, os.altsep} - {None}
+    if any(sep in stem for sep in separators) or len(os.fsencode(stem + ".csv")) > _NAME_MAX:
+        raise CliError("input", f"{stem!r} cannot name an output file")
+
+
 def cmd_evaluate(args) -> int:
     if args.metric == "rme":
         errs_a = _read_vector(args.errs_a)
@@ -489,6 +500,9 @@ def cmd_evaluate(args) -> int:
     series_names = cols[1:] if drop_origin else cols
     wanted = series_names if args.series is None else [args.series]
     out = Path(args.out) if args.out else None
+    if out is not None:
+        for name in wanted:
+            _check_file_stem(f"fluctuation_{name}")
     files = []
     rows = []
     stats_by_series = {}

@@ -16,7 +16,9 @@ from .factors import FactorFit, fit_factors, select_r
 from .moments import GramSystem, build_gram
 from .panel import PanelSeries, ScaleVector, mad_scales
 from .trunc import TauCvReport, TruncationRule, build_tau_grid, cv_tau, truncate
-from .varlasso import _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, cv_lambda, fit_var
+from .varlasso import (
+    _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, certify, cv_lambda, fit_var,
+)
 
 import numpy as np
 
@@ -51,7 +53,10 @@ class FitOptions:
     factors, by default min(8, min(n, p)/2) (see ``select_r``). Every lasso
     solve, in lambda-CV and in the final fit, walks its exact solution path with
     ``varlasso``'s knot budget, and the final fit meets its KKT certificate
-    at ``varlasso``'s tolerance; the fit's ``config`` records both.
+    at ``varlasso``'s tolerance; the fit's ``config`` records both. Under
+    lambda-CV the final fit is read off lambda-CV's walk where the full data
+    rode it (see ``cv_lambda``), else walked by ``fit_var``; both give the
+    same fit and knot counts.
     """
 
     r: int | str = 0
@@ -176,13 +181,17 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
     lambda_report = None
     if opts.lam == "cv":
         with _stage("lambda-cv"):
-            lambda_report = cv_lambda(xi, opts.d, n_lambda=opts.n_lambda, n_folds=opts.n_folds)
+            lambda_report = cv_lambda(xi, opts.d, n_lambda=opts.n_lambda, n_folds=opts.n_folds,
+                                      gram=gram)
             lam = lambda_report.lam
     else:
         lam = float(opts.lam)
 
     with _stage("lasso"):
-        var = fit_var(gram, lam)
+        if lambda_report is None or lambda_report.final is None:
+            var = fit_var(gram, lam)
+        else:
+            var = certify(gram, lambda_report.final)
 
     config = {
         "r": r,

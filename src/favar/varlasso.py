@@ -20,11 +20,16 @@ walks the paths once and reads each column's solution at every requested
 penalty off the segment that holds it: ``fit_var`` and ``lasso_row`` ask it
 for one penalty, ``cv_lambda`` for its grid, with the row problems of several
 training folds stacked as the columns of one walk, and then scores each fold
-on its own grid solutions. ``max_iter`` bounds the knots.
+on its own grid solutions. Where the full data's row problems ride a walk
+with the folds, the final fit at the chosen penalty is read off that walk
+too (``LambdaCvReport.final``), and no second walk runs; elsewhere
+``fit_var`` walks the full data down to the chosen penalty. ``max_iter``
+bounds the knots.
 The path is exact up to rounding, so ``tol`` is no stopping rule but a
 certificate checked once at the end: a row's first-order optimality (KKT)
 gap must be at most ``10 * tol`` times its largest ``|gamma_j|``, which
-keeps the check invariant to rescaling the data.
+keeps the check invariant to rescaling the data. ``fit_var`` and ``certify``
+(for a fit read off lambda-CV's walk) make that check, in ``_certify``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ class LambdaCvReport:
 
     ``chosen`` minimises the mean validation score. ``knots`` counts the
     knots each fold's row problems walked down their solution paths.
+    ``final`` is the full data's fit at the chosen penalty, read off the walk
+    when the full data rode one (see ``cv_lambda``), else None. It has not
+    met the KKT certificate yet: ``certify`` checks it.
     """
 
     grid: np.ndarray
@@ -90,6 +98,7 @@ class LambdaCvReport:
     mean_scores: np.ndarray
     chosen: int
     knots: np.ndarray              # n_folds x p
+    final: VarFit | None
 
     def __post_init__(self):
         object.__setattr__(self, "grid", _frozen(self.grid))
@@ -382,8 +391,10 @@ def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: in
 
     Walks ``_lasso_path`` once, down to ``mus[-1]``, and returns ``B``, the
     pd x m x len(mus) solutions (column j's at ``mus[g]`` in ``B[:, j, g]``),
-    and the knots each column walked. Each solution is read off the segment
-    that holds its mu; above the path head's ``lo`` it is zero.
+    and ``knots``, m x len(mus): ``knots[j, g]`` counts the knots column j
+    walked down to ``mus[g]``, its segments that start above ``mus[g]``, which
+    is what a walk stopped at ``mus[g]`` walks. Each solution is read off the
+    segment that holds its mu; above the path head's ``lo`` it is zero.
 
     The walk's last segment tells whether it finished: a column whose
     segment ends above ``mus[-1]`` ran out of the ``max_iter`` knots. Then
@@ -392,11 +403,11 @@ def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: in
     and the worst KKT gap of those iterates at lambda = 2 ``mus[-1]``.
     """
     B = np.zeros(gamma.shape + (mus.size,))
-    knots = np.zeros(gamma.shape[1], dtype=int)
+    knots = np.zeros(B.shape[1:], dtype=int)
     for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mus[-1], max_iter, fold):
         if hi[0] == np.inf:
             continue  # the path head, where every solution is zero
-        knots[cols] += 1
+        knots[cols] += hi[:, None] > mus
         g, i = np.nonzero((mus[:, None] >= lo) & (mus[:, None] < hi))
         B[:, cols[i], g] = U[:, i] - mus[g] * V[:, i]
     left = lo > mus[-1]
@@ -408,21 +419,15 @@ def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: in
         gap = float(_kkt_gaps(2.0 * (GB - gamma[:, cols]), beta[:, cols], 2.0 * mus[-1]).max())
         raise ConvergenceError(f"rows {cols.tolist()} unfinished after {max_iter} knots "
                                f"(worst KKT gap {gap:.3e})",
-                               beta=beta, kkt_gap=gap, iterations=knots)
+                               beta=beta, kkt_gap=gap, iterations=knots[:, -1])
     return B, knots
 
 
-def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_iter: int):
-    """Every column's lasso solution at ``lam``, read off its exact path.
-
-    Returns the pd x m solutions and the knots each column's path walked.
-    Each solution must then meet the KKT certificate: a gap of at most
-    ``10 * tol`` times its column's largest ``|gamma|``.
-    """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    B, knots = _path_at(Gamma, gamma, np.array([0.5 * lam]), max_iter)
-    B = B[:, :, 0]
+def _certify(Gamma: np.ndarray, gamma: np.ndarray, B: np.ndarray, lam: float, tol: float,
+             knots: np.ndarray) -> None:
+    """Raise ``ConvergenceError`` unless every column of ``B`` meets the KKT
+    certificate at ``lam``: a gap of at most ``10 * tol`` times its column's
+    largest ``|gamma|``. ``knots`` are the knots each column walked."""
     gaps = _kkt_gaps(2.0 * (Gamma @ B - gamma), B, lam)
     bad = np.flatnonzero(gaps > 10.0 * tol * np.abs(gamma).max(axis=0, initial=0.0))
     if bad.size:
@@ -433,6 +438,19 @@ def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_
             kkt_gap=float(gaps[bad].max()),
             iterations=knots,
         )
+
+
+def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_iter: int):
+    """Every column's lasso solution at ``lam``, read off its exact path.
+
+    Returns the pd x m solutions and the knots each column's path walked,
+    once each solution meets the KKT certificate (``_certify``).
+    """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    B, knots = _path_at(Gamma, gamma, np.array([0.5 * lam]), max_iter)
+    B, knots = B[:, :, 0], knots[:, 0]
+    _certify(Gamma, gamma, B, lam, tol, knots)
     return B, knots
 
 
@@ -445,13 +463,30 @@ def lasso_row(
     return _solve_at(G.Gamma, G.gamma[:, [j]], lam, tol, max_iter)[0][:, 0]
 
 
+def _var_fit(B: np.ndarray, lam: float, d: int, knots: np.ndarray) -> VarFit:
+    """The ``VarFit`` whose row j is column j of the pd x p solutions ``B``."""
+    A = B.T
+    p = A.shape[0]
+    blocks = tuple(A[:, ell * p : (ell + 1) * p] for ell in range(d))
+    active = tuple(np.flatnonzero(A[i]) for i in range(p))
+    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=d, active_set=active, iterations=knots)
+
+
 def fit_var(G: GramSystem, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER) -> VarFit:
     """Solve all p row problems and assemble the lag blocks."""
     B, knots = _solve_at(G.Gamma, G.gamma, lam, tol, max_iter)
-    A = B.T
-    blocks = tuple(A[:, ell * G.p : (ell + 1) * G.p] for ell in range(G.d))
-    active = tuple(np.flatnonzero(A[i]) for i in range(G.p))
-    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=G.d, active_set=active, iterations=knots)
+    return _var_fit(B, lam, G.d, knots)
+
+
+def certify(G: GramSystem, var: VarFit, tol: float = _TOL) -> VarFit:
+    """``var``, once every row meets the KKT certificate of ``G`` at ``var.lam``.
+
+    This is the check ``fit_var`` makes; a fit read off lambda-CV's walk
+    (``LambdaCvReport.final``) must pass it before it is used. Raises
+    ``ConvergenceError`` otherwise.
+    """
+    _certify(G.Gamma, G.gamma, var.A.T, var.lam, tol, var.iterations)
+    return var
 
 
 def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
@@ -481,57 +516,79 @@ def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
 
 
 def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
-              max_iter: int = _MAX_ITER) -> LambdaCvReport:
+              max_iter: int = _MAX_ITER, gram: GramSystem | None = None) -> LambdaCvReport:
     """Choose lambda by one-step-ahead prediction over contiguous time folds.
 
     The grid starts at the smallest lambda that zeroes the fit on the full
     data and on every training fold, and decreases geometrically down to
     ``_LAMBDA_DEPTH`` (1e-3) times that. Held-out points are predicted from
     the observed lags immediately preceding them; the score is the mean
-    squared prediction error.
+    squared prediction error. ``gram`` is the full data's Gram system,
+    ``build_gram(xi_hat, d)``, built here when not given.
 
     The training folds' row problems walk their exact solution paths as the
     columns of one ``_lasso_path`` over the stack of the folds' Gram
     matrices, and ``_path_at`` reads every column's solution at every grid
     penalty off the segment that holds it, so the scores carry no solver
     tolerance. Each fold then predicts its own validation points from its
-    grid solutions in one product. A walk takes as many folds as keep its
+    grid solutions in one product. A walk takes as many members as keep its
     worst-case inverse stack, columns x pd^2 doubles, within ``_FOLD_STACK``
-    (all five folds when p = pd = 10, one when p = pd = 50), so a step's
-    fixed cost is paid once for those folds; the rest walk after them. At
-    most ``max_iter`` knots per path; refit at the chosen penalty with
-    ``fit_var``.
+    (131 when p = pd = 10, one when p = pd = 50), so a step's fixed cost is
+    paid once for those members; the rest walk after them. At most
+    ``max_iter`` knots per path.
+
+    The members are the training folds, then the full data, which rides
+    only in a walk that also holds a fold (when ``n_folds`` is no multiple of
+    the members per walk): its fit at the chosen penalty is then read off
+    the walk into the report's ``final``, with the knots a walk stopped
+    there takes, and ``fit`` skips its second walk. Alone, the full data
+    would walk to the grid bottom, deeper than ``fit_var``'s walk down to
+    the chosen penalty, so there ``final`` is None and the refit is
+    ``fit_var``'s.
     """
     values = _values(xi_hat)
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if n_lambda < 1:
         raise ValueError("need at least one lambda")
-    full = build_gram(values, d)
+    full = build_gram(values, d) if gram is None else gram
     folds = _cv_folds(values, d, n_folds)
     lam_max = 2.0 * max(float(np.max(np.abs(g))) for g in [full.gamma] + [f[1] for f in folds])
     grid = np.geomspace(lam_max, lam_max * _LAMBDA_DEPTH, n_lambda)
     p = values.shape[1]
     per_walk = max(1, _FOLD_STACK // (p * (p * d) ** 2))
+    members = [f[:2] for f in folds]
+    if n_folds % per_walk:
+        members.append((full.Gamma, full.gamma))
     fold_scores = np.empty((n_folds, n_lambda))
     knots = np.empty((n_folds, p), dtype=int)
-    for first in range(0, n_folds, per_walk):
-        walk = folds[first : first + per_walk]
-        # column c of the walk is row problem c % p of fold c // p
-        B, walk_knots = _path_at(np.stack([f[0] for f in walk]), np.hstack([f[1] for f in walk]),
+    ride = None
+    for first in range(0, len(members), per_walk):
+        walk = members[first : first + per_walk]
+        # column c of the walk is row problem c % p of member c // p
+        B, walk_knots = _path_at(np.stack([G for G, _ in walk]), np.hstack([g for _, g in walk]),
                                  0.5 * grid, max_iter, np.arange(len(walk) * p) // p)
-        knots[first : first + len(walk)] = walk_knots.reshape(-1, p)
-        for f, (_, _, va_design, va_resp) in enumerate(walk):
+        scored = folds[first : first + per_walk]
+        knots[first : first + len(scored)] = walk_knots[: len(scored) * p, -1].reshape(-1, p)
+        for f, (_, _, va_design, va_resp) in enumerate(scored):
             # fold f's solutions at every grid penalty predict its own points
             resid = va_design @ B[:, f * p : (f + 1) * p].reshape(p * d, -1)
             resid = resid.reshape(va_resp.shape + grid.shape) - va_resp[:, :, None]
             fold_scores[first + f] = np.sum(resid * resid, axis=(0, 1)) / va_resp.size
+        if len(walk) > len(scored):
+            ride = B[:, -p:].copy(), walk_knots[-p:]
         del B, resid  # free this walk's buffers before the next walk builds its own
     mean_scores = fold_scores.mean(axis=0)
+    chosen = int(np.argmin(mean_scores))  # first minimum, i.e. the largest lambda
+    final = None
+    if ride is not None:
+        B, walk_knots = ride
+        final = _var_fit(B[:, :, chosen], grid[chosen], d, walk_knots[:, chosen])
     return LambdaCvReport(
         grid=grid,
         fold_scores=fold_scores,
         mean_scores=mean_scores,
-        chosen=int(np.argmin(mean_scores)),  # first minimum, i.e. the largest lambda
+        chosen=chosen,
         knots=knots,
+        final=final,
     )

@@ -257,6 +257,24 @@ def test_evaluate_fluctuation_outputs(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+@pytest.mark.parametrize("name", ["x/y", "x" * 250], ids=["separator", "too-long"])
+def test_evaluate_refuses_series_names_that_cannot_name_a_file(tmp_path, capsys, name):
+    rng = np.random.default_rng(1)
+    for fe in ("fa.csv", "fb.csv"):
+        rows = [f"origin,{name},z"] + [f"{i},{rng.random():.6f},{rng.random():.6f}"
+                                       for i in range(40)]
+        (tmp_path / fe).write_text("\n".join(rows) + "\n")
+    out = tmp_path / "ev"
+    code = main(["evaluate", "--metric", "fluctuation", "--fe-a", str(tmp_path / "fa.csv"),
+                 "--fe-b", str(tmp_path / "fb.csv"), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:input:") and captured.err.count("\n") == 1
+    assert "cannot name an output file" in captured.err
+    assert not out.exists()
+
+
 def test_unknown_flag_reports_usage_error(capsys):
     code = main(["estimate", "--nonsense"])
     assert code == 2

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 from favar.moments import build_gram
 from favar.panel import PanelSeries
+import favar.pipeline
+import favar.varlasso
 from favar.pipeline import FitOptions, StageError, fit, refit_options
 from favar.simulate import DgpSpec, simulate_panel
 from favar.varlasso import fit_var
@@ -137,6 +140,54 @@ def test_fit_is_invariant_to_rescaling_the_panel():
         assert scaled.tau_report.chosen == base.tau_report.chosen
         assert scaled.lambda_report.chosen == base.lambda_report.chosen
         np.testing.assert_allclose(scaled.var.A, base.var.A, rtol=0, atol=1e-10)
+
+
+def cv_panel(p, seed):
+    spec = DgpSpec(n=120, p=p, var_design="banded", innovation="student_t", nu=2.1,
+                   factor_design="var1_factors", r=3, seed=seed)
+    return simulate_panel(spec).x
+
+
+def assert_fit_is_its_refit(result):
+    direct = fit_var(result.gram, result.config["lambda"])
+    np.testing.assert_array_equal(result.var.A, direct.A)
+    np.testing.assert_array_equal(result.var.iterations, direct.iterations)
+
+
+@pytest.mark.parametrize("p, rides", [(10, True), (50, False)])
+def test_cross_validated_fit_is_the_refit_at_the_chosen_lambda(p, rides):
+    # at p = 10 the full data rides lambda-CV's walk of all five folds; at
+    # p = 50 each fold walks alone, so the full data would too and is refit
+    result = fit(cv_panel(p, 3), FitOptions(r=3, d=1))
+    assert (result.lambda_report.final is not None) == rides
+    assert_fit_is_its_refit(result)
+
+
+def test_ridden_fit_reaches_fit_through_the_report_alone(monkeypatch):
+    # the benchmark wraps cv_lambda with functools.wraps, which copies the
+    # function's __dict__: a fit handed over through function state would
+    # carry one panel's fit into the next
+    original = favar.pipeline.cv_lambda
+
+    @functools.wraps(original)
+    def wrapped(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(favar.pipeline, "cv_lambda", wrapped)
+    for seed in (1, 2):
+        assert_fit_is_its_refit(fit(cv_panel(10, seed), FitOptions(r=3, d=1)))
+
+
+def test_ridden_fit_must_meet_the_kkt_certificate(monkeypatch):
+    def refit(*args, **kwargs):
+        raise AssertionError("a ridden fit walks no second path")
+
+    monkeypatch.setattr(favar.pipeline, "fit_var", refit)
+    monkeypatch.setattr(favar.varlasso, "_kkt_gaps",
+                        lambda grad, B, lam: np.full(B.shape[1], np.inf))
+    with pytest.raises(StageError, match="^lasso: .* miss the KKT certificate") as excinfo:
+        fit(cv_panel(10, 3), FitOptions(r=3, d=1))
+    assert excinfo.value.stage == "lasso"
 
 
 def test_every_call_the_benchmark_traces_resolves(monkeypatch):
