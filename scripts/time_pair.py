@@ -15,12 +15,15 @@ two trees' CPU times in one round, the quartiles of that ratio, the share of
 rounds in which the new tree took less CPU, and each tree's median CPU time
 per operation.
 
-    python3 scripts/time_pair.py OLD_SRC NEW_SRC [--workload NAME ...] [--rounds N] [--seed S]
+    python3 scripts/time_pair.py OLD_SRC NEW_SRC [--workload NAME ...] [--rounds N]
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``favar`` package, as
 for ``scripts/compare_fits.py``, whose environment (the tree on PYTHONPATH,
-one BLAS thread) the workers share. Without ``--workload`` every workload
-runs. Exits 1 if a round fails or a check fails on either tree.
+one BLAS thread) and input seed the workers share. No other seed is
+offered: the seed only draws the benchmark's sign flips of the panels, which
+leave every choice, error and unit of work unchanged. Without
+``--workload`` every workload runs. Exits 1 if a round fails or a check
+fails on either tree.
 """
 
 from __future__ import annotations
@@ -35,13 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from compare_fits import BENCH, tree_env
+from compare_fits import BENCH, SEED, tree_env
 
 # rounds each pair of workers runs before the counted ones
 WARM_ROUNDS = 2
 
 
-def worker(name: str, seed: int) -> None:
+def worker(name: str) -> None:
     """Serve rounds of workload ``name``: one per line read, one JSON reply per round."""
     replies, sys.stdout = sys.stdout, sys.stderr  # favar's own prints stay off the replies
     sys.path.insert(0, str(BENCH))
@@ -49,7 +52,7 @@ def worker(name: str, seed: int) -> None:
     import workloads
 
     wl = workloads.make(name)
-    inputs = wl.make_inputs(seed)
+    inputs = wl.make_inputs(SEED)
     wl.warm_up()
     ready = {"favar": favar.__file__, "ops": wl.ops_per_round}
     print(json.dumps(ready), file=replies, flush=True)
@@ -65,9 +68,9 @@ def worker(name: str, seed: int) -> None:
 class Worker:
     """One tree's worker process, stepped one round at a time."""
 
-    def __init__(self, src: str, name: str, seed: int):
+    def __init__(self, src: str, name: str):
         self.proc = subprocess.Popen(
-            [sys.executable, __file__, "--worker", name, "--seed", str(seed)],
+            [sys.executable, __file__, "--worker", name],
             env=tree_env(src), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         ready = self._reply()
@@ -92,10 +95,10 @@ class Worker:
         self.proc.wait(timeout=60)
 
 
-def pair(old_src: str, new_src: str, name: str, rounds: int,
-         seed: int) -> tuple[np.ndarray, int, list[str]]:
+def pair(old_src: str, new_src: str, name: str,
+         rounds: int) -> tuple[np.ndarray, int, list[str]]:
     """CPU seconds of each counted round, rounds x (old, new); ops per round; problems."""
-    workers = [Worker(old_src, name, seed), Worker(new_src, name, seed)]
+    workers = [Worker(old_src, name), Worker(new_src, name)]
     cpu = np.empty((WARM_ROUNDS + rounds, 2))
     problems = []
     try:
@@ -127,11 +130,10 @@ def main() -> int:
     ap.add_argument("--workload", action="append",
                     help="a workload of favarbench/workloads.py; repeat for several")
     ap.add_argument("--rounds", type=int, default=40, help="counted rounds per workload")
-    ap.add_argument("--seed", type=int, default=1, help="the workloads' input seed")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
-        worker(args.worker, args.seed)
+        worker(args.worker)
         return 0
     if not (args.old_src and args.new_src):
         ap.error("need OLD_SRC and NEW_SRC")
@@ -146,7 +148,7 @@ def main() -> int:
         ap.error(f"unknown workload {unknown[0]!r}; one of {', '.join(workloads.NAMES)}")
     failed = False
     for name in names:
-        cpu, ops, problems = pair(args.old_src, args.new_src, name, args.rounds, args.seed)
+        cpu, ops, problems = pair(args.old_src, args.new_src, name, args.rounds)
         for line in problems:
             print(f"FAIL {line}")
         failed |= bool(problems)

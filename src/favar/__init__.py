@@ -36,7 +36,6 @@ from .varlasso import (
     ConvergenceError,
     LambdaCvReport,
     VarFit,
-    certify,
     cv_lambda,
     fit_var,
     kkt_gap,

@@ -503,6 +503,8 @@ def cmd_evaluate(args) -> int:
     if out is not None:
         for name in wanted:
             _check_file_stem(f"fluctuation_{name}")
+            if name == "summary":
+                raise CliError("input", "series 'summary' would overwrite fluctuation_summary.csv")
     files = []
     rows = []
     stats_by_series = {}

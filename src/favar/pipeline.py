@@ -17,7 +17,7 @@ from .moments import GramSystem, build_gram
 from .panel import PanelSeries, ScaleVector, mad_scales
 from .trunc import TauCvReport, TruncationRule, build_tau_grid, cv_tau, truncate
 from .varlasso import (
-    _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, certify, cv_lambda, fit_var,
+    _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, _certify, cv_lambda, fit_var,
 )
 
 import numpy as np
@@ -191,7 +191,8 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
         if lambda_report is None or lambda_report.final is None:
             var = fit_var(gram, lam)
         else:
-            var = certify(gram, lambda_report.final)
+            var = lambda_report.final
+            _certify(gram.Gamma, gram.gamma, var.A.T, var.lam, _TOL, var.iterations)
 
     config = {
         "r": r,

@@ -20,16 +20,16 @@ walks the paths once and reads each column's solution at every requested
 penalty off the segment that holds it: ``fit_var`` and ``lasso_row`` ask it
 for one penalty, ``cv_lambda`` for its grid, with the row problems of several
 training folds stacked as the columns of one walk, and then scores each fold
-on its own grid solutions. Where the full data's row problems ride a walk
-with the folds, the final fit at the chosen penalty is read off that walk
-too (``LambdaCvReport.final``), and no second walk runs; elsewhere
+on its own grid solutions. Where one walk holds every fold and the full
+data's row problems too, the final fit at the chosen penalty is read off
+that walk (``LambdaCvReport.final``), and no second walk runs; elsewhere
 ``fit_var`` walks the full data down to the chosen penalty. ``max_iter``
 bounds the knots.
 The path is exact up to rounding, so ``tol`` is no stopping rule but a
 certificate checked once at the end: a row's first-order optimality (KKT)
 gap must be at most ``10 * tol`` times its largest ``|gamma_j|``, which
-keeps the check invariant to rescaling the data. ``fit_var`` and ``certify``
-(for a fit read off lambda-CV's walk) make that check, in ``_certify``.
+keeps the check invariant to rescaling the data. ``_certify`` makes that
+check, for ``fit_var`` and for a fit read off lambda-CV's walk.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class LambdaCvReport:
     knots each fold's row problems walked down their solution paths.
     ``final`` is the full data's fit at the chosen penalty, read off the walk
     when the full data rode one (see ``cv_lambda``), else None. It has not
-    met the KKT certificate yet: ``certify`` checks it.
+    met the KKT certificate yet: ``_certify`` checks it.
     """
 
     grid: np.ndarray
@@ -478,17 +478,6 @@ def fit_var(G: GramSystem, lam: float, tol: float = _TOL, max_iter: int = _MAX_I
     return _var_fit(B, lam, G.d, knots)
 
 
-def certify(G: GramSystem, var: VarFit, tol: float = _TOL) -> VarFit:
-    """``var``, once every row meets the KKT certificate of ``G`` at ``var.lam``.
-
-    This is the check ``fit_var`` makes; a fit read off lambda-CV's walk
-    (``LambdaCvReport.final``) must pass it before it is used. Raises
-    ``ConvergenceError`` otherwise.
-    """
-    _certify(G.Gamma, G.gamma, var.A.T, var.lam, tol, var.iterations)
-    return var
-
-
 def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
     """``(Gamma, gamma, va_design, va_resp)`` of each contiguous time fold.
 
@@ -538,13 +527,13 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
     ``max_iter`` knots per path.
 
     The members are the training folds, then the full data, which rides
-    only in a walk that also holds a fold (when ``n_folds`` is no multiple of
-    the members per walk): its fit at the chosen penalty is then read off
-    the walk into the report's ``final``, with the knots a walk stopped
-    there takes, and ``fit`` skips its second walk. Alone, the full data
-    would walk to the grid bottom, deeper than ``fit_var``'s walk down to
-    the chosen penalty, so there ``final`` is None and the refit is
-    ``fit_var``'s.
+    only where one walk holds every fold and it too (more members per walk
+    than ``n_folds``): its fit at the chosen penalty is then read off the
+    walk into the report's ``final``, with the knots a walk stopped there
+    takes, and ``fit`` skips its second walk. Elsewhere the full data would
+    walk to the grid bottom, deeper than ``fit_var``'s walk down to the
+    chosen penalty, beside at most a few leftover folds, so there ``final``
+    is None and the refit is ``fit_var``'s.
     """
     values = _values(xi_hat)
     if n_folds < 2:
@@ -558,7 +547,7 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
     p = values.shape[1]
     per_walk = max(1, _FOLD_STACK // (p * (p * d) ** 2))
     members = [f[:2] for f in folds]
-    if n_folds % per_walk:
+    if per_walk > n_folds:
         members.append((full.Gamma, full.gamma))
     fold_scores = np.empty((n_folds, n_lambda))
     knots = np.empty((n_folds, p), dtype=int)

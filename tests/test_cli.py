@@ -257,8 +257,11 @@ def test_evaluate_fluctuation_outputs(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-@pytest.mark.parametrize("name", ["x/y", "x" * 250], ids=["separator", "too-long"])
-def test_evaluate_refuses_series_names_that_cannot_name_a_file(tmp_path, capsys, name):
+@pytest.mark.parametrize("name, why", [("x/y", "cannot name an output file"),
+                                       ("x" * 250, "cannot name an output file"),
+                                       ("summary", "would overwrite fluctuation_summary.csv")],
+                         ids=["separator", "too-long", "summary"])
+def test_evaluate_refuses_series_names_that_cannot_name_a_file(tmp_path, capsys, name, why):
     rng = np.random.default_rng(1)
     for fe in ("fa.csv", "fb.csv"):
         rows = [f"origin,{name},z"] + [f"{i},{rng.random():.6f},{rng.random():.6f}"
@@ -271,7 +274,7 @@ def test_evaluate_refuses_series_names_that_cannot_name_a_file(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:input:") and captured.err.count("\n") == 1
-    assert "cannot name an output file" in captured.err
+    assert why in captured.err
     assert not out.exists()
 
 

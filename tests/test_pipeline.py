@@ -154,10 +154,11 @@ def assert_fit_is_its_refit(result):
     np.testing.assert_array_equal(result.var.iterations, direct.iterations)
 
 
-@pytest.mark.parametrize("p, rides", [(10, True), (50, False)])
+@pytest.mark.parametrize("p, rides", [(10, True), (30, False), (50, False)])
 def test_cross_validated_fit_is_the_refit_at_the_chosen_lambda(p, rides):
     # at p = 10 the full data rides lambda-CV's walk of all five folds; at
-    # p = 50 each fold walks alone, so the full data would too and is refit
+    # p = 30 a walk holds four folds, and at p = 50 one, so the full data
+    # would walk beside the last fold or alone and is refit
     result = fit(cv_panel(p, 3), FitOptions(r=3, d=1))
     assert (result.lambda_report.final is not None) == rides
     assert_fit_is_its_refit(result)
