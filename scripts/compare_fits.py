@@ -22,7 +22,8 @@ magnitude, since entries near zero carry no relative precision.
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``favar`` package,
 such as the ``src`` of two checkouts. Exits 1 if any required equality
-fails.
+fails, or if a tree's process imported ``favar`` from anywhere else, such as
+an installed copy (``check_tree``, which ``scripts/time_pair.py`` shares).
 
 The workloads' inputs are made with seed 1. No other seed is offered: the
 seed only draws the benchmark's sign flips of the panels, and every stage is
@@ -47,7 +48,8 @@ SEED = 1
 
 
 def collect() -> dict:
-    """Run one round of each workload; return its fits, outputs and path knots."""
+    """Run one round of each workload; return where favar came from, and each
+    workload's fits, outputs and path knots."""
     sys.path.insert(0, str(BENCH))
     import favar
     import favar.cli
@@ -101,7 +103,7 @@ def collect() -> dict:
                     for f in fits
                 ],
             }
-    return result
+    return {"favar": favar.__file__, "workloads": result}
 
 
 def outputs(name: str, rnd) -> dict:
@@ -120,11 +122,25 @@ def tree_env(src: str) -> dict:
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+class TreeError(RuntimeError):
+    """A tree's process imported favar from outside the tree."""
+
+
+def check_tree(src: str, favar_file: str) -> None:
+    """Raise ``TreeError`` unless ``favar_file``, the favar a tree's process
+    imported, lies inside the tree ``src``."""
+    tree, found = Path(src).resolve(), Path(favar_file).resolve()
+    if tree not in found.parents:
+        raise TreeError(f"favar was imported from {found.parent}, not from {tree}")
+
+
 def run_tree(src: str) -> dict:
     with tempfile.NamedTemporaryFile(suffix=".pkl") as out:
         subprocess.run([sys.executable, __file__, "--collect", out.name], env=tree_env(src),
                        check=True)
-        return pickle.loads(Path(out.name).read_bytes())
+        run = pickle.loads(Path(out.name).read_bytes())
+    check_tree(src, run["favar"])
+    return run["workloads"]
 
 
 # outputs that are tuning choices, equal in every mode
@@ -225,7 +241,11 @@ def main() -> int:
         return 0
     if not (args.old_src and args.new_src):
         ap.error("need OLD_SRC and NEW_SRC")
-    old, new = run_tree(args.old_src), run_tree(args.new_src)
+    try:
+        old, new = run_tree(args.old_src), run_tree(args.new_src)
+    except TreeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     problems = compare(old, new, ROUNDING_BOUND if args.rounding else 0.0)
     for line in problems:
         print(f"DIFF {line}")

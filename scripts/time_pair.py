@@ -10,6 +10,13 @@ computes at a time. A round is timed by its worker's process CPU time
 (``time.process_time``) and then checked, untimed, by the workload's own
 checks. The first ``WARM_ROUNDS`` rounds are run and checked but not counted.
 
+The position in which a worker was started has been seen to bias its CPU
+time, by about 1% for the second one started on ``rme-cell``, whatever tree
+it runs. So the
+counted rounds run on two pairs of workers in turn: half on a pair started
+old tree first, half on a pair started new tree first. Each tree then holds
+each start position for half the rounds, and the bias falls on both alike.
+
 Printed per workload: the median over rounds of the ratio new/old of the
 two trees' CPU times in one round, the quartiles of that ratio, the share of
 rounds in which the new tree took less CPU, and each tree's median CPU time
@@ -19,11 +26,12 @@ per operation.
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``favar`` package, as
 for ``scripts/compare_fits.py``, whose environment (the tree on PYTHONPATH,
-one BLAS thread) and input seed the workers share. No other seed is
-offered: the seed only draws the benchmark's sign flips of the panels, which
-leave every choice, error and unit of work unchanged. Without
-``--workload`` every workload runs. Exits 1 if a round fails or a check
-fails on either tree.
+one BLAS thread), input seed and check that favar came from the tree the
+workers share. No other seed is offered: the seed only draws the
+benchmark's sign flips of the panels, which leave every choice, error and
+unit of work unchanged. Without ``--workload`` every workload runs. Exits 1
+if a round fails or a check fails on either tree, or if a worker imported
+favar from outside its tree.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from compare_fits import BENCH, SEED, tree_env
+from compare_fits import BENCH, SEED, TreeError, check_tree, tree_env
 
 # rounds each pair of workers runs before the counted ones
 WARM_ROUNDS = 2
@@ -74,10 +82,7 @@ class Worker:
             env=tree_env(src), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         ready = self._reply()
-        tree = Path(src).resolve()
-        if tree not in Path(ready["favar"]).resolve().parents:
-            raise RuntimeError(f"worker imported favar from {ready['favar']}, not from {tree}")
-        self.ops = ready["ops"]
+        self.favar, self.ops = ready["favar"], ready["ops"]
 
     def _reply(self) -> dict:
         line = self.proc.stdout.readline()
@@ -95,13 +100,17 @@ class Worker:
         self.proc.wait(timeout=60)
 
 
-def pair(old_src: str, new_src: str, name: str,
-         rounds: int) -> tuple[np.ndarray, int, list[str]]:
-    """CPU seconds of each counted round, rounds x (old, new); ops per round; problems."""
-    workers = [Worker(old_src, name), Worker(new_src, name)]
+def pair(srcs: tuple[str, str], name: str, rounds: int,
+         first: int) -> tuple[np.ndarray, int, list[str]]:
+    """CPU seconds of each counted round, rounds x (old, new), on one pair of
+    workers started tree ``srcs[first]`` first; ops per round; problems."""
+    workers = {}
     cpu = np.empty((WARM_ROUNDS + rounds, 2))
     problems = []
     try:
+        for side in (first, 1 - first):
+            workers[side] = Worker(srcs[side], name)
+            check_tree(srcs[side], workers[side].favar)
         for i in range(cpu.shape[0]):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
                 reply = workers[side].step()
@@ -109,7 +118,7 @@ def pair(old_src: str, new_src: str, name: str,
                 problems += [f"{name} {('old', 'new')[side]} round {i}: {p}"
                              for p in reply["problems"]]
     finally:
-        for w in workers:
+        for w in workers.values():
             w.close()
     return cpu[WARM_ROUNDS:], workers[0].ops, problems
 
@@ -147,12 +156,21 @@ def main() -> int:
     if unknown:
         ap.error(f"unknown workload {unknown[0]!r}; one of {', '.join(workloads.NAMES)}")
     failed = False
+    srcs = (args.old_src, args.new_src)
+    # half the counted rounds with each tree's worker started first
+    halves = [(first, n) for first, n in ((0, args.rounds - args.rounds // 2),
+                                          (1, args.rounds // 2)) if n]
     for name in names:
-        cpu, ops, problems = pair(args.old_src, args.new_src, name, args.rounds)
+        try:
+            runs = [pair(srcs, name, n, first) for first, n in halves]
+        except TreeError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        problems = [line for _, _, lines in runs for line in lines]
         for line in problems:
             print(f"FAIL {line}")
         failed |= bool(problems)
-        print(summary(name, cpu, ops), flush=True)
+        print(summary(name, np.concatenate([cpu for cpu, _, _ in runs]), runs[0][1]), flush=True)
     return 1 if failed else 0
 
 

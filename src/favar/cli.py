@@ -188,6 +188,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
+        if not self.norms or not set(self.norms) <= set(ev.METRICS):
+            raise ValueError(f"norms must name one or more of {ev.METRICS}, got {self.norms}")
         self.fit_options()  # refuses bad fit settings before anything is written
 
     def fit_options(self, r: int = 0) -> FitOptions:
@@ -437,27 +439,27 @@ def cmd_forecast(args) -> int:
     if run.origins.size == 0:
         t, reason = run.skipped[0]
         raise StageError("forecast", f"no origin forecast; the first, {t}, failed: {reason}")
+    written = [(run, slice(None), "")]
+    if args.baseline:
+        # both runs are written on the origins they share, so their error
+        # files pair row by row; both run before anything is written
+        base = rolling_forecast(x, replace(opts, tau=math.inf))
+        try:
+            rows, base_rows = align_origins(run, base)
+        except ValueError:
+            t, reason = base.skipped[0]
+            raise StageError("forecast", f"the baseline forecast none of the run's origins; "
+                             f"its first failed, {t}: {reason}") from None
+        written = [(run, rows, ""), (base, base_rows, "_baseline")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
-
-    def emit(run, rows, suffix=""):
-        header = ["origin", *x.names]
-        fc = np.column_stack([run.origins[rows], run.forecasts[rows]])
-        fe = np.column_stack([run.origins[rows], run.errors()[rows]])
-        write_table(out / f"forecasts{suffix}.csv", header, fc)
-        write_table(out / f"fe{suffix}.csv", header, fe)
-        files.extend([f"forecasts{suffix}.csv", f"fe{suffix}.csv"])
-
-    if args.baseline:
-        # both runs are written on the origins they share, so their error
-        # files pair row by row
-        base = rolling_forecast(x, replace(opts, tau=math.inf))
-        rows, base_rows = align_origins(run, base)
-        emit(run, rows)
-        emit(base, base_rows, suffix="_baseline")
-    else:
-        emit(run, slice(None))
+    for each, rows, suffix in written:
+        fc = np.column_stack([each.origins[rows], each.forecasts[rows]])
+        fe = np.column_stack([each.origins[rows], each.errors()[rows]])
+        write_table(out / f"forecasts{suffix}.csv", ["origin", *x.names], fc)
+        write_table(out / f"fe{suffix}.csv", ["origin", *x.names], fe)
+        files += [f"forecasts{suffix}.csv", f"fe{suffix}.csv"]
     _flag_manifest(args, files)
     skipped = len(run.skipped)
     print(f"{run.origins.size} origins forecast, {skipped} skipped, outputs in {out}")

@@ -109,24 +109,16 @@ def bartlett_long_run_variance(x, bandwidth: int | None = None) -> float:
     return out
 
 
-def load_critical_values(path=CRITICAL_VALUES_FILE) -> tuple[np.ndarray, np.ndarray]:
-    mus, cvs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            mus.append(float(row["mu"]))
-            cvs.append(float(row["two_sided_95"]))
-    order = np.argsort(mus)
-    return np.asarray(mus)[order], np.asarray(cvs)[order]
-
-
-def critical_value(mu: float, path=CRITICAL_VALUES_FILE) -> float:
+def critical_value(mu: float) -> float:
     """Two-sided 5% critical value for the given window fraction.
 
-    Linear interpolation between the tabulated window fractions; values of
-    mu outside the table are rejected rather than extrapolated.
+    Linear interpolation between the window fractions tabulated in
+    ``CRITICAL_VALUES_FILE``; values of mu outside the table are rejected
+    rather than extrapolated.
     """
-    mus, cvs = load_critical_values(path)
+    with open(CRITICAL_VALUES_FILE, newline="", encoding="utf-8") as fh:
+        table = sorted((float(row["mu"]), float(row["two_sided_95"])) for row in csv.DictReader(fh))
+    mus, cvs = np.array(table).T
     if mu < mus[0] or mu > mus[-1]:
         raise ValueError(f"mu={mu} outside the tabulated range [{mus[0]}, {mus[-1]}]")
     return float(np.interp(mu, mus, cvs))

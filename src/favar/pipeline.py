@@ -17,7 +17,7 @@ from .moments import GramSystem, build_gram
 from .panel import PanelSeries, ScaleVector, mad_scales
 from .trunc import TauCvReport, TruncationRule, build_tau_grid, cv_tau, truncate
 from .varlasso import (
-    _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, _certify, cv_lambda, fit_var,
+    _MAX_ITER, _TOL, ConvergenceError, LambdaCvReport, VarFit, cv_lambda, fit_var,
 )
 
 import numpy as np
@@ -53,10 +53,7 @@ class FitOptions:
     factors, by default min(8, min(n, p)/2) (see ``select_r``). Every lasso
     solve, in lambda-CV and in the final fit, walks its exact solution path with
     ``varlasso``'s knot budget, and the final fit meets its KKT certificate
-    at ``varlasso``'s tolerance; the fit's ``config`` records both. Under
-    lambda-CV the final fit is read off lambda-CV's walk where the full data
-    rode it (see ``cv_lambda``), else walked by ``fit_var``; both give the
-    same fit and knot counts.
+    at ``varlasso``'s tolerance; the fit's ``config`` records both.
     """
 
     r: int | str = 0
@@ -188,11 +185,7 @@ def fit(x: PanelSeries, opts: FitOptions = FitOptions()) -> FavarFit:
         lam = float(opts.lam)
 
     with _stage("lasso"):
-        if lambda_report is None or lambda_report.final is None:
-            var = fit_var(gram, lam)
-        else:
-            var = lambda_report.final
-            _certify(gram.Gamma, gram.gamma, var.A.T, var.lam, _TOL, var.iterations)
+        var = fit_var(gram, lam, cv=lambda_report)
 
     config = {
         "r": r,

@@ -21,15 +21,14 @@ penalty off the segment that holds it: ``fit_var`` and ``lasso_row`` ask it
 for one penalty, ``cv_lambda`` for its grid, with the row problems of several
 training folds stacked as the columns of one walk, and then scores each fold
 on its own grid solutions. Where one walk holds every fold and the full
-data's row problems too, the final fit at the chosen penalty is read off
-that walk (``LambdaCvReport.final``), and no second walk runs; elsewhere
-``fit_var`` walks the full data down to the chosen penalty. ``max_iter``
-bounds the knots.
+data's row problems too, it also yields the full data's solutions at the
+chosen penalty. ``fit_var``, given lambda-CV's report, reads or walks, then
+certifies: it reads those solutions, or walks the full data down to the
+penalty, and alone builds the final fit. ``max_iter`` bounds the knots.
 The path is exact up to rounding, so ``tol`` is no stopping rule but a
-certificate checked once at the end: a row's first-order optimality (KKT)
-gap must be at most ``10 * tol`` times its largest ``|gamma_j|``, which
-keeps the check invariant to rescaling the data. ``_certify`` makes that
-check, for ``fit_var`` and for a fit read off lambda-CV's walk.
+certificate checked once at the end (``_certify``): a row's first-order
+optimality (KKT) gap must be at most ``10 * tol`` times its largest
+``|gamma_j|``, which keeps the check invariant to rescaling the data.
 """
 
 from __future__ import annotations
@@ -88,9 +87,9 @@ class LambdaCvReport:
 
     ``chosen`` minimises the mean validation score. ``knots`` counts the
     knots each fold's row problems walked down their solution paths.
-    ``final`` is the full data's fit at the chosen penalty, read off the walk
-    when the full data rode one (see ``cv_lambda``), else None. It has not
-    met the KKT certificate yet: ``_certify`` checks it.
+    ``full_solutions`` and ``full_knots`` are the full data's solutions at
+    the chosen penalty and a walk's knots down to it, where lambda-CV's walk
+    held the full data (see ``cv_lambda``), else None.
     """
 
     grid: np.ndarray
@@ -98,13 +97,17 @@ class LambdaCvReport:
     mean_scores: np.ndarray
     chosen: int
     knots: np.ndarray              # n_folds x p
-    final: VarFit | None
+    full_solutions: np.ndarray | None  # pd x p
+    full_knots: np.ndarray | None      # p
 
     def __post_init__(self):
         object.__setattr__(self, "grid", _frozen(self.grid))
         object.__setattr__(self, "fold_scores", _frozen(self.fold_scores))
         object.__setattr__(self, "mean_scores", _frozen(self.mean_scores))
         object.__setattr__(self, "knots", _frozen(self.knots, dtype=int))
+        if self.full_solutions is not None:
+            object.__setattr__(self, "full_solutions", _frozen(self.full_solutions))
+            object.__setattr__(self, "full_knots", _frozen(self.full_knots, dtype=int))
 
     @property
     def lam(self) -> float:
@@ -463,19 +466,27 @@ def lasso_row(
     return _solve_at(G.Gamma, G.gamma[:, [j]], lam, tol, max_iter)[0][:, 0]
 
 
-def _var_fit(B: np.ndarray, lam: float, d: int, knots: np.ndarray) -> VarFit:
-    """The ``VarFit`` whose row j is column j of the pd x p solutions ``B``."""
-    A = B.T
-    p = A.shape[0]
-    blocks = tuple(A[:, ell * p : (ell + 1) * p] for ell in range(d))
+def fit_var(G: GramSystem, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER,
+            cv: LambdaCvReport | None = None) -> VarFit:
+    """Solve all p row problems at ``lam`` and assemble the lag blocks.
+
+    ``cv`` is lambda-CV's report on the data of ``G``, chosen ``lam``. The
+    solutions are read off it where it holds the full data's, else walked
+    down to ``lam``; either way they must meet the KKT certificate
+    (``_certify``), which also refuses those of a report on other data.
+    """
+    if cv is not None and lam != cv.lam:
+        raise ValueError(f"lambda {lam} is not lambda-CV's choice {cv.lam}")
+    if cv is None or cv.full_solutions is None:
+        B, knots = _solve_at(G.Gamma, G.gamma, lam, tol, max_iter)
+    else:
+        B, knots = cv.full_solutions, cv.full_knots
+        _certify(G.Gamma, G.gamma, B, lam, tol, knots)
+    A, p = B.T, G.p
+    blocks = tuple(A[:, ell * p : (ell + 1) * p] for ell in range(G.d))
     active = tuple(np.flatnonzero(A[i]) for i in range(p))
-    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=d, active_set=active, iterations=knots)
-
-
-def fit_var(G: GramSystem, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER) -> VarFit:
-    """Solve all p row problems and assemble the lag blocks."""
-    B, knots = _solve_at(G.Gamma, G.gamma, lam, tol, max_iter)
-    return _var_fit(B, lam, G.d, knots)
+    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=G.d, active_set=active,
+                  iterations=knots)
 
 
 def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
@@ -528,12 +539,11 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
 
     The members are the training folds, then the full data, which rides
     only where one walk holds every fold and it too (more members per walk
-    than ``n_folds``): its fit at the chosen penalty is then read off the
-    walk into the report's ``final``, with the knots a walk stopped there
-    takes, and ``fit`` skips its second walk. Elsewhere the full data would
-    walk to the grid bottom, deeper than ``fit_var``'s walk down to the
-    chosen penalty, beside at most a few leftover folds, so there ``final``
-    is None and the refit is ``fit_var``'s.
+    than ``n_folds``): its solutions at the chosen penalty and their knots
+    then go into the report. Elsewhere the full data would walk to the grid
+    bottom, deeper than a walk down to the chosen penalty, beside at most a
+    few leftover folds, so it does not ride. Given the report, ``fit_var``
+    reads or walks, then certifies.
     """
     values = _values(xi_hat)
     if n_folds < 2:
@@ -569,15 +579,12 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
         del B, resid  # free this walk's buffers before the next walk builds its own
     mean_scores = fold_scores.mean(axis=0)
     chosen = int(np.argmin(mean_scores))  # first minimum, i.e. the largest lambda
-    final = None
-    if ride is not None:
-        B, walk_knots = ride
-        final = _var_fit(B[:, :, chosen], grid[chosen], d, walk_knots[:, chosen])
     return LambdaCvReport(
         grid=grid,
         fold_scores=fold_scores,
         mean_scores=mean_scores,
         chosen=chosen,
         knots=knots,
-        final=final,
+        full_solutions=None if ride is None else ride[0][:, :, chosen],
+        full_knots=None if ride is None else ride[1][:, chosen],
     )

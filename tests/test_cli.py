@@ -13,7 +13,7 @@ import pytest
 from favar import cli
 from favar.cli import ExperimentConfig, main, parse_config, run_experiment
 from favar.panel import load_csv
-from favar.simulate import DgpSpec
+from favar.simulate import DgpSpec, simulate_panel
 
 
 def write_dgp(tmp_path, **overrides):
@@ -181,6 +181,23 @@ def test_forecast_of_no_origin_is_a_stage_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error:stage:forecast: no origin forecast; the first, 29, failed: "
         "factors: factor number r=20 outside 1..min(n, p)=10\n"
+    )
+    assert not out.exists()
+
+
+def test_forecast_baseline_of_no_shared_origin_writes_nothing(tmp_path, capsys):
+    # an entry of 1e200 overflows the untruncated moments of every window
+    # holding it, so the baseline fails at each origin the clipped run forecasts
+    x = simulate_panel(DgpSpec(n=130, p=5, seed=1)).x.values.copy()
+    x[50, 0] = 1e200
+    np.savetxt(tmp_path / "x.csv", x, delimiter=",", header="V1,V2,V3,V4,V5", comments="")
+    out = tmp_path / "fc"
+    code = main(["forecast", "--input", str(tmp_path / "x.csv"), "--window", "120",
+                 "--tau", "3", "--baseline", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:stage:forecast: the baseline forecast none of the run's origins; its first "
+        "failed, 119: gram: Gamma or gamma is not finite: the second moments overflow\n"
     )
     assert not out.exists()
 
@@ -542,6 +559,26 @@ def test_run_experiment_rejects_bad_cv_sizes_before_writing(tmp_path, field, lea
     out = tmp_path / "cell"
     with pytest.raises(ValueError, match=f"^{field} must be at least {least}"):
         run_experiment(replace(experiment_config(out), **{field: least - 1}))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("norms", [(), ("max_elementwise", "nope")], ids=["none", "unknown"])
+def test_run_experiment_rejects_bad_norms_before_writing(tmp_path, norms):
+    out = tmp_path / "cell"
+    with pytest.raises(ValueError, match="^norms must name one or more of"):
+        run_experiment(replace(experiment_config(out), norms=norms))
+    assert not out.exists()
+
+
+def test_cell_runner_reports_an_unknown_norm_as_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "cell.txt"
+    config.write_text("n = 60\np = 6\n")
+    out = tmp_path / "cell"
+    with pytest.raises(SystemExit) as exc_info:
+        load_cell_runner().main(["--config", str(config), "--out", str(out), "--reps", "1",
+                                 "--norms", "max_elementwise,nope"])
+    assert exc_info.value.code == 2
+    assert "norms must name one or more of" in capsys.readouterr().err
     assert not out.exists()
 
 

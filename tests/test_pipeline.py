@@ -160,8 +160,26 @@ def test_cross_validated_fit_is_the_refit_at_the_chosen_lambda(p, rides):
     # p = 30 a walk holds four folds, and at p = 50 one, so the full data
     # would walk beside the last fold or alone and is refit
     result = fit(cv_panel(p, 3), FitOptions(r=3, d=1))
-    assert (result.lambda_report.final is not None) == rides
+    assert (result.lambda_report.full_solutions is not None) == rides
     assert_fit_is_its_refit(result)
+
+
+@pytest.mark.parametrize("p, lam", [(10, "cv"), (50, "cv"), (10, 0.05)],
+                         ids=["ridden", "walked", "fixed"])
+def test_the_benchmark_hook_sees_every_final_fit(monkeypatch, p, lam):
+    # the benchmark traces the final fit by wrapping pipeline.fit_var with
+    # functools.wraps, whether it is read off lambda-CV's walk or walked
+    original = favar.pipeline.fit_var
+    seen = []
+
+    @functools.wraps(original)
+    def wrapped(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(favar.pipeline, "fit_var", wrapped)
+    result = fit(cv_panel(p, 3), FitOptions(r=3, d=1, lam=lam))
+    assert len(seen) == 1 and seen[0] is result.var
 
 
 def test_ridden_fit_reaches_fit_through_the_report_alone(monkeypatch):
@@ -180,15 +198,20 @@ def test_ridden_fit_reaches_fit_through_the_report_alone(monkeypatch):
 
 
 def test_ridden_fit_must_meet_the_kkt_certificate(monkeypatch):
-    def refit(*args, **kwargs):
-        raise AssertionError("a ridden fit walks no second path")
+    original = favar.varlasso._path_at
+    walks = []
 
-    monkeypatch.setattr(favar.pipeline, "fit_var", refit)
+    def counted(*args, **kwargs):
+        walks.append(args[2].size)  # the number of penalties read off the walk
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(favar.varlasso, "_path_at", counted)
     monkeypatch.setattr(favar.varlasso, "_kkt_gaps",
                         lambda grad, B, lam: np.full(B.shape[1], np.inf))
     with pytest.raises(StageError, match="^lasso: .* miss the KKT certificate") as excinfo:
         fit(cv_panel(10, 3), FitOptions(r=3, d=1))
     assert excinfo.value.stage == "lasso"
+    assert walks == [50], "a ridden fit walks no second path"
 
 
 def test_every_call_the_benchmark_traces_resolves(monkeypatch):

@@ -155,6 +155,22 @@ def test_fit_var_refuses_penalty_that_is_not_finite():
             fit_var(gram, lam)
 
 
+def test_fit_var_reads_a_lambda_cv_report_only_at_its_choice_on_its_data():
+    values = simulate_panel(DgpSpec(n=120, p=10, seed=4)).x.values
+    gram = build_gram(values, 1)
+    report = cv_lambda(values, 1, gram=gram)
+    assert report.full_solutions is not None  # at p = 10 the full data rides
+    ridden, walked = fit_var(gram, report.lam, cv=report), fit_var(gram, report.lam)
+    # the same path, walked in a stack of five folds or alone
+    np.testing.assert_allclose(ridden.A, walked.A, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(ridden.iterations, walked.iterations)
+    with pytest.raises(ValueError, match="is not lambda-CV's choice"):
+        fit_var(gram, 0.5 * report.lam, cv=report)
+    other = build_gram(simulate_panel(DgpSpec(n=120, p=10, seed=5)).x.values, 1)
+    with pytest.raises(ConvergenceError, match="miss the KKT certificate"):
+        fit_var(other, report.lam, cv=report)
+
+
 def test_fit_var_block_shapes():
     gram = random_gram(9, p=3, d=2, n=100)
     fit = fit_var(gram, 0.05)
