@@ -39,7 +39,6 @@ from .varlasso import (
     cv_lambda,
     fit_var,
     kkt_gap,
-    lasso_row,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -81,8 +82,8 @@ def _parse_value(text: str):
 
 
 def _read_vector(path) -> np.ndarray:
-    """Flatten every cell of a numeric CSV. Line 1 may be a header; any other
-    cell that is not a number is an input error."""
+    """Flatten every cell of a numeric CSV; a cell that is not a finite number
+    is an input error. Line 1 is a header when every cell of it is a name."""
     path = Path(path)
     if not path.exists():
         raise CliError("input", f"file not found: {path}")
@@ -90,14 +91,30 @@ def _read_vector(path) -> np.ndarray:
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not raw.strip():
             continue
-        try:
-            values += [float(cell) for cell in raw.split(",")]
-        except ValueError:
-            if lineno > 1:
-                raise CliError("input", f"{path}:{lineno}: not a number in {raw!r}") from None
+        cells = raw.split(",")
+        if lineno == 1 and all(_is_name(cell) for cell in cells):
+            continue
+        for j, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise CliError("input",
+                               f"{path}:{lineno}: column {j}: {cell!r} is not a finite number")
+            values.append(value)
     if not values:
         raise CliError("input", f"no numeric data in {path}")
     return np.asarray(values, dtype=float)
+
+
+def _is_name(cell: str) -> bool:
+    """A header cell: neither a number nor one mistyped, like ``0.9x``."""
+    try:
+        float(cell)
+    except ValueError:
+        return re.match(r"\s*[+-]?\.?\d", cell) is None
+    return False
 
 
 def _manifest(out_dir: Path, subcommand: str, config: dict, files, **extra) -> None:
@@ -355,19 +372,23 @@ def _fit_options(args, options=FitOptions, **extra) -> FitOptions:
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise CliError("usage", f"--reps must be at least 1, got {args.reps}")
     raw = parse_config(args.dgp)
     # each replication's seed derives from --seed, so the file may not set one
     unknown = set(raw) - {f.name for f in fields(DgpSpec) if f.name != "seed"}
     if unknown:
         raise CliError("input", f"unknown DGP config keys: {sorted(unknown)}")
+    try:
+        spec = DgpSpec(**raw)
+    except TypeError as e:  # a required key is missing
+        raise CliError("input", f"{args.dgp}: {e}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(Path(args.dgp).read_text(encoding="utf-8"), encoding="utf-8")
     files = ["config.txt"]
     for rep in range(args.reps):
-        seed = derive_seed(args.seed, rep)
-        spec = DgpSpec(seed=seed, **raw)
-        panel = simulate_panel(spec)
+        panel = simulate_panel(replace(spec, seed=derive_seed(args.seed, rep)))
         rep_dir = out / f"rep_{rep:04d}"
         rep_dir.mkdir(exist_ok=True)
         write_csv(panel.x, rep_dir / "x.csv")
@@ -481,8 +502,6 @@ def cmd_evaluate(args) -> int:
     if args.metric == "rme":
         errs_a = _read_vector(args.errs_a)
         errs_b = _read_vector(args.errs_b)
-        if errs_a.size != errs_b.size:
-            raise CliError("input", "error streams have different lengths")
         value = ev.rme(errs_a, errs_b)
         print(f"rme {args.norm} {value:.12g}")
         if args.out:

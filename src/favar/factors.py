@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import autocov
 from .panel import PanelSeries, _frozen
 
 _RANK_TOL = 1e-12
@@ -57,7 +58,7 @@ def _sign_fix(vecs: np.ndarray) -> np.ndarray:
 
 
 def _eigendecompose(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gram = values.T @ values / values.shape[0]
+    gram = autocov(values, 0)
     gram = 0.5 * (gram + gram.T)
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]

@@ -99,13 +99,11 @@ def forecast_idio(var: VarFit, recent_xi: np.ndarray, h: int) -> np.ndarray:
     if recent.ndim != 2 or recent.shape[0] < var.d:
         raise ValueError(f"need the last {var.d} residual rows, got {recent.shape}")
     history = [recent[i] for i in range(recent.shape[0] - var.d, recent.shape[0])]
-    value = None
+    blocks = var.A_blocks
     for _ in range(h):
-        value = np.zeros(var.p)
-        for ell in range(1, var.d + 1):
-            value += var.A_blocks[ell - 1] @ history[-ell]
-        history.append(value)
-    return value
+        # lag ell's block meets the ell-th newest row
+        history.append(sum(block @ row for block, row in zip(blocks, reversed(history))))
+    return history[-1]
 
 
 def _window_forecast(window_fit: FavarFit, xt_values: np.ndarray, h: int):

@@ -122,8 +122,7 @@ class FavarFit:
 def refit_options(config: dict) -> FitOptions:
     """Options that replay a previous fit with all tuning pinned.
 
-    The config's ``tol`` and ``max_iter`` are the solver's fixed defaults, which
-    no option sets, so they are not read.
+    The config's ``tol`` and ``max_iter`` are the solver's constants: not read.
     """
     return FitOptions(
         r=config["r"],

@@ -26,6 +26,7 @@ replication is reproducible from ``(seed,)`` alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,12 @@ class DgpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "p", "r", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.nu, bool) or not isinstance(self.nu, numbers.Real):
+            raise ValueError(f"nu must be a number, got {self.nu!r}")
         if self.n < 2 or self.p < 2:
             raise ValueError("need n >= 2 and p >= 2")
         if self.var_design not in VAR_DESIGNS:

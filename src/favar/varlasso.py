@@ -17,17 +17,17 @@ its block: O(|A|^2) work per knot, not O(|A|^3). A join that leaves the
 block singular to working precision pins its problem to refactorising with
 ``pinv``, the min-norm solution, from then on. One reader, ``_path_at``,
 walks the paths once and reads each column's solution at every requested
-penalty off the segment that holds it: ``fit_var`` and ``lasso_row`` ask it
-for one penalty, ``cv_lambda`` for its grid, with the row problems of several
-training folds stacked as the columns of one walk, and then scores each fold
-on its own grid solutions. Where one walk holds every fold and the full
-data's row problems too, it also yields the full data's solutions at the
-chosen penalty. ``fit_var``, given lambda-CV's report, reads or walks, then
-certifies: it reads those solutions, or walks the full data down to the
-penalty, and alone builds the final fit. ``max_iter`` bounds the knots.
-The path is exact up to rounding, so ``tol`` is no stopping rule but a
+penalty off the segment that holds it: ``cv_lambda`` asks it for its grid,
+with the row problems of several training folds stacked as the columns of
+one walk, and then scores each fold on its own grid solutions. Where one
+walk holds every fold and the full data's row problems too, it also yields
+the full data's solutions at the chosen penalty. ``fit_var`` is the one way
+into the solver at a penalty: it reads those solutions, or asks the reader
+for that penalty alone, then certifies them and builds the final fit. Every
+walk has the fixed knot budget ``_MAX_ITER``. The path is exact up to
+rounding, so the fixed tolerance ``_TOL`` is no stopping rule but a
 certificate checked once at the end (``_certify``): a row's first-order
-optimality (KKT) gap must be at most ``10 * tol`` times its largest
+optimality (KKT) gap must be at most ``10 * _TOL`` times its largest
 ``|gamma_j|``, which keeps the check invariant to rescaling the data.
 """
 
@@ -61,20 +61,28 @@ class VarFit:
     """Estimated transition matrices, one p x p block per lag."""
 
     A: np.ndarray                  # p x (p d), row j solves the j-th problem
-    A_blocks: tuple[np.ndarray, ...]
     lam: float
     d: int
-    active_set: tuple[np.ndarray, ...]
     iterations: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "A", _frozen(self.A))
-        object.__setattr__(self, "A_blocks", tuple(_frozen(b) for b in self.A_blocks))
         object.__setattr__(self, "iterations", _frozen(self.iterations, dtype=int))
 
     @property
     def p(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def A_blocks(self) -> tuple[np.ndarray, ...]:
+        """The d lag blocks of ``A``, read-only p x p views, lag 1 first."""
+        p = self.p
+        return tuple(self.A[:, ell * p : (ell + 1) * p] for ell in range(self.d))
+
+    @property
+    def active_set(self) -> tuple[np.ndarray, ...]:
+        """The columns of ``A`` where each row is nonzero."""
+        return tuple(np.flatnonzero(row) for row in self.A)
 
     @property
     def nonzeros(self) -> int:
@@ -144,7 +152,7 @@ def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return live
 
 
-# the default KKT certificate tolerance and knot budget of every solve
+# the KKT certificate tolerance and the knot budget of every solve
 _TOL, _MAX_ITER = 1e-7, 100_000
 # lambda path depth: the grid runs down to this fraction of its largest value
 _LAMBDA_DEPTH = 1e-3
@@ -276,13 +284,8 @@ class _ActiveInverses:
         return UV[:, :-1]
 
 
-def _lasso_path(
-    Gamma: np.ndarray,
-    gamma: np.ndarray,
-    mu_stop: float,
-    max_iter: int,
-    fold: np.ndarray | None = None,
-):
+def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float,
+                fold: np.ndarray | None = None):
     """Walk the exact solution path of every column of ``gamma`` down to ``mu_stop``.
 
     ``Gamma`` is a stack of Gram matrices, (F, pd, pd), and column j of
@@ -297,7 +300,7 @@ def _lasso_path(
     solution is zero (``U = V = 0``). After it, every unfinished column
     advances one knot per segment, so the segments of a column tile
     ``[mu_stop, inf)`` with no overlap. A column finishes once its segment
-    reaches ``mu_stop``. The walk stops after ``max_iter`` knots, finished or
+    reaches ``mu_stop``. The walk stops after ``_MAX_ITER`` knots, finished or
     not, and raises nothing: the columns of its last segment whose ``lo``
     is still above ``mu_stop`` are the unfinished ones, and ``_path_at``
     reports them.
@@ -347,7 +350,7 @@ def _lasso_path(
     inv = _ActiveInverses(Gamma, last, fold[cols])
     sigma = np.array([1.0, -1.0])[:, None, None]
     width = max(1, _SEARCH_BLOCK // pd_)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if cols.size == 0:
             return
         UV = inv.solve(gamma, S, cols)
@@ -388,7 +391,7 @@ def _lasso_path(
         mu[cols] = lo[go]
 
 
-def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: int,
+def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray,
              fold: np.ndarray | None = None):
     """Every column's exact-path solution at each of the decreasing ``mus``.
 
@@ -400,14 +403,14 @@ def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: in
     segment that holds its mu; above the path head's ``lo`` it is zero.
 
     The walk's last segment tells whether it finished: a column whose
-    segment ends above ``mus[-1]`` ran out of the ``max_iter`` knots. Then
+    segment ends above ``mus[-1]`` ran out of the ``_MAX_ITER`` knots. Then
     ``ConvergenceError`` is raised, holding each column's solution at
     ``mus[-1]``, or for an unfinished column its iterate at its last knot,
     and the worst KKT gap of those iterates at lambda = 2 ``mus[-1]``.
     """
     B = np.zeros(gamma.shape + (mus.size,))
     knots = np.zeros(B.shape[1:], dtype=int)
-    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mus[-1], max_iter, fold):
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mus[-1], fold):
         if hi[0] == np.inf:
             continue  # the path head, where every solution is zero
         knots[cols] += hi[:, None] > mus
@@ -420,22 +423,22 @@ def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray, max_iter: in
         fold = np.zeros(gamma.shape[1], dtype=int) if fold is None else fold
         GB = _fold_products(Gamma.reshape((-1,) + Gamma.shape[-2:]), fold[cols], beta[:, cols])
         gap = float(_kkt_gaps(2.0 * (GB - gamma[:, cols]), beta[:, cols], 2.0 * mus[-1]).max())
-        raise ConvergenceError(f"rows {cols.tolist()} unfinished after {max_iter} knots "
+        raise ConvergenceError(f"rows {cols.tolist()} unfinished after {_MAX_ITER} knots "
                                f"(worst KKT gap {gap:.3e})",
                                beta=beta, kkt_gap=gap, iterations=knots[:, -1])
     return B, knots
 
 
-def _certify(Gamma: np.ndarray, gamma: np.ndarray, B: np.ndarray, lam: float, tol: float,
+def _certify(Gamma: np.ndarray, gamma: np.ndarray, B: np.ndarray, lam: float,
              knots: np.ndarray) -> None:
     """Raise ``ConvergenceError`` unless every column of ``B`` meets the KKT
-    certificate at ``lam``: a gap of at most ``10 * tol`` times its column's
+    certificate at ``lam``: a gap of at most ``10 * _TOL`` times its column's
     largest ``|gamma|``. ``knots`` are the knots each column walked."""
     gaps = _kkt_gaps(2.0 * (Gamma @ B - gamma), B, lam)
-    bad = np.flatnonzero(gaps > 10.0 * tol * np.abs(gamma).max(axis=0, initial=0.0))
+    bad = np.flatnonzero(gaps > 10.0 * _TOL * np.abs(gamma).max(axis=0, initial=0.0))
     if bad.size:
         raise ConvergenceError(
-            f"rows {bad.tolist()} miss the KKT certificate at tol {tol:g} "
+            f"rows {bad.tolist()} miss the KKT certificate at tol {_TOL:g} "
             f"(worst KKT gap {float(gaps[bad].max()):.3e})",
             beta=B,
             kkt_gap=float(gaps[bad].max()),
@@ -443,50 +446,24 @@ def _certify(Gamma: np.ndarray, gamma: np.ndarray, B: np.ndarray, lam: float, to
         )
 
 
-def _solve_at(Gamma: np.ndarray, gamma: np.ndarray, lam: float, tol: float, max_iter: int):
-    """Every column's lasso solution at ``lam``, read off its exact path.
-
-    Returns the pd x m solutions and the knots each column's path walked,
-    once each solution meets the KKT certificate (``_certify``).
-    """
-    if not 0.0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    B, knots = _path_at(Gamma, gamma, np.array([0.5 * lam]), max_iter)
-    B, knots = B[:, :, 0], knots[:, 0]
-    _certify(Gamma, gamma, B, lam, tol, knots)
-    return B, knots
-
-
-def lasso_row(
-    G: GramSystem, j: int, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER
-) -> np.ndarray:
-    """Solve the j-th row problem; returns the pd coefficient vector."""
-    if not 0 <= j < G.p:
-        raise ValueError(f"row index {j} outside 0..{G.p - 1}")
-    return _solve_at(G.Gamma, G.gamma[:, [j]], lam, tol, max_iter)[0][:, 0]
-
-
-def fit_var(G: GramSystem, lam: float, tol: float = _TOL, max_iter: int = _MAX_ITER,
-            cv: LambdaCvReport | None = None) -> VarFit:
-    """Solve all p row problems at ``lam`` and assemble the lag blocks.
+def fit_var(G: GramSystem, lam: float, cv: LambdaCvReport | None = None) -> VarFit:
+    """Solve all p row problems at ``lam`` and assemble the fit.
 
     ``cv`` is lambda-CV's report on the data of ``G``, chosen ``lam``. The
     solutions are read off it where it holds the full data's, else walked
     down to ``lam``; either way they must meet the KKT certificate
     (``_certify``), which also refuses those of a report on other data.
     """
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
     if cv is not None and lam != cv.lam:
         raise ValueError(f"lambda {lam} is not lambda-CV's choice {cv.lam}")
     if cv is None or cv.full_solutions is None:
-        B, knots = _solve_at(G.Gamma, G.gamma, lam, tol, max_iter)
+        B, knots = (a[..., 0] for a in _path_at(G.Gamma, G.gamma, np.array([0.5 * lam])))
     else:
         B, knots = cv.full_solutions, cv.full_knots
-        _certify(G.Gamma, G.gamma, B, lam, tol, knots)
-    A, p = B.T, G.p
-    blocks = tuple(A[:, ell * p : (ell + 1) * p] for ell in range(G.d))
-    active = tuple(np.flatnonzero(A[i]) for i in range(p))
-    return VarFit(A=A, A_blocks=blocks, lam=float(lam), d=G.d, active_set=active,
-                  iterations=knots)
+    _certify(G.Gamma, G.gamma, B, lam, knots)
+    return VarFit(A=B.T, lam=float(lam), d=G.d, iterations=knots)
 
 
 def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
@@ -516,7 +493,7 @@ def _cv_folds(values: np.ndarray, d: int, n_folds: int) -> list[tuple]:
 
 
 def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
-              max_iter: int = _MAX_ITER, gram: GramSystem | None = None) -> LambdaCvReport:
+              gram: GramSystem | None = None) -> LambdaCvReport:
     """Choose lambda by one-step-ahead prediction over contiguous time folds.
 
     The grid starts at the smallest lambda that zeroes the fit on the full
@@ -534,8 +511,7 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
     grid solutions in one product. A walk takes as many members as keep its
     worst-case inverse stack, columns x pd^2 doubles, within ``_FOLD_STACK``
     (131 when p = pd = 10, one when p = pd = 50), so a step's fixed cost is
-    paid once for those members; the rest walk after them. At most
-    ``max_iter`` knots per path.
+    paid once for those members; the rest walk after them.
 
     The members are the training folds, then the full data, which rides
     only where one walk holds every fold and it too (more members per walk
@@ -566,7 +542,7 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
         walk = members[first : first + per_walk]
         # column c of the walk is row problem c % p of member c // p
         B, walk_knots = _path_at(np.stack([G for G, _ in walk]), np.hstack([g for _, g in walk]),
-                                 0.5 * grid, max_iter, np.arange(len(walk) * p) // p)
+                                 0.5 * grid, np.arange(len(walk) * p) // p)
         scored = folds[first : first + per_walk]
         knots[first : first + len(scored)] = walk_knots[: len(scored) * p, -1].reshape(-1, p)
         for f, (_, _, va_design, va_resp) in enumerate(scored):

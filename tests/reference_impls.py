@@ -135,7 +135,7 @@ def fresh_active_solution(Gamma, gamma_col, active, signs):
     return u, v
 
 
-def per_fold_lambda_scores(values, d, grid, n_folds, max_iter=100_000):
+def per_fold_lambda_scores(values, d, grid, n_folds):
     """lambda-CV fold scores and knots with every fold's path walked on its own.
 
     Returns the n_folds x len(grid) validation scores and the n_folds x p
@@ -147,7 +147,7 @@ def per_fold_lambda_scores(values, d, grid, n_folds, max_iter=100_000):
     scores = np.zeros((n_folds, mu_grid.size))
     knots = np.zeros((n_folds, values.shape[1]), dtype=int)
     for k, (Gamma, gamma, va_design, va_resp) in enumerate(_cv_folds(values, d, n_folds)):
-        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter):
+        for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1]):
             for i, j in enumerate(cols):
                 knots[k, j] += hi[i] < np.inf
                 r = va_resp[:, j] - va_design @ U[:, i]

@@ -69,6 +69,28 @@ def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:input:")
 
 
+def test_simulate_refuses_bad_dgp_values_and_reps_before_writing(tmp_path, capsys):
+    # a DGP value of the wrong type or a missing size is an input error, a
+    # --reps below 1 a usage error, and none of them leaves a run directory
+    out = tmp_path / "o"
+    cases = [({"n": "ten"}, "1", "error:input: n must be an integer"),
+             ({"n": 100.5}, "1", "error:input: n must be an integer"),
+             ({"burn_in": True}, "1", "error:input: burn_in must be an integer"),
+             ({"nu": "abc"}, "1", "error:input: nu must be a number"),
+             ({}, "0", "error:usage: --reps must be at least 1"),
+             ({}, "-2", "error:usage: --reps must be at least 1")]
+    for overrides, reps, message in cases:
+        dgp = write_dgp(tmp_path, **overrides)
+        code = main(["simulate", "--dgp", str(dgp), "--reps", reps, "--out", str(out)])
+        assert code == (2 if message.startswith("error:usage") else 1)
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+    dgp.write_text("p = 5\n")
+    assert main(["simulate", "--dgp", str(dgp), "--out", str(out)]) == 1
+    assert "'n'" in capsys.readouterr().err.removeprefix("error:input:")
+    assert not out.exists()
+
+
 def test_estimate_artifact_layout(tmp_path):
     dgp = write_dgp(tmp_path, factor_design="var1_factors", r=2, n=120, p=10)
     main(["simulate", "--dgp", str(dgp), "--reps", "1", "--seed", "3", "--out",
@@ -249,6 +271,28 @@ def test_evaluate_rme_refuses_unparsable_data_cells(tmp_path, capsys):
     (tmp_path / "a.csv").write_text("err\n2.0\n4.0\n6.0\n")
     assert main(argv) == 0
     assert capsys.readouterr().out.strip() == "rme max 2"
+
+
+def test_evaluate_rme_refuses_non_finite_cells_and_mistyped_headers(tmp_path, capsys):
+    # a nan or inf cell is refused, not summed; line 1 is a header only when
+    # no cell of it is a number or a mistyped one, else it is data
+    (tmp_path / "b.csv").write_text("0.5,0.5\n")
+    argv = ["evaluate", "--metric", "rme", "--errs-a", str(tmp_path / "a.csv"),
+            "--errs-b", str(tmp_path / "b.csv")]
+    for text, lineno, column in (("0.2\nnan\n", 2, 1), ("0.2,inf\n0.3\n", 1, 2),
+                                 ("err,-inf\n0.2\n", 1, 1), ("0.9x\n0.2\n0.3\n", 1, 1),
+                                 ("0.9,x\n0.2\n", 1, 2)):
+        (tmp_path / "a.csv").write_text(text)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:input:") and f"a.csv:{lineno}: column {column}:" in err
+        assert err.count("\n") == 1
+    (tmp_path / "a.csv").write_text("0.2\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error:input: error streams must have equal length\n"
+    (tmp_path / "a.csv").write_text("run a,run b\n0.2\n0.3\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == "rme max 0.5"
 
 
 def test_evaluate_fluctuation_outputs(tmp_path, capsys):

@@ -154,6 +154,12 @@ def test_spec_validation():
         DgpSpec(n=50, p=5, burn_in=10)
     with pytest.raises(ValueError, match="unknown VAR design"):
         DgpSpec(n=50, p=5, var_design="dense")
+    for bad in ({"n": 50.0}, {"p": True}, {"r": "3"}, {"burn_in": 500.5}):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
+            DgpSpec(**{"n": 50, "p": 5, **bad})
+    with pytest.raises(ValueError, match="nu must be a number"):
+        DgpSpec(n=50, p=5, nu="3")
+    assert DgpSpec(n=np.int64(50), p=5, nu=3).nu == 3  # numpy integers and int nu pass
 
 
 def test_all_generated_matrices_pass_stability_gate():

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import favar.varlasso
 from favar.factors import fit_factors
 from favar.moments import GramSystem, build_gram
 from favar.simulate import DgpSpec, simulate_panel
@@ -13,10 +14,10 @@ from favar.varlasso import (
     _ActiveInverses,
     _cv_folds,
     _lasso_path,
+    _path_at,
     cv_lambda,
     fit_var,
     kkt_gap,
-    lasso_row,
 )
 
 from reference_impls import (
@@ -33,11 +34,11 @@ def random_gram(seed, p=4, d=1, n=200):
     return build_gram(rng.standard_normal((n, p)), d)
 
 
-def path_solutions(Gamma, gamma, mu_grid, max_iter=100_000):
+def path_solutions(Gamma, gamma, mu_grid):
     """Every column's path solution at every grid mu: len(mu_grid) x pd x m."""
     out = np.zeros((mu_grid.size,) + gamma.shape)
     hits = np.zeros((mu_grid.size, gamma.shape[1]), dtype=int)
-    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1], max_iter):
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_grid[-1]):
         g, i = np.nonzero((mu_grid[:, None] >= lo) & (mu_grid[:, None] < hi))
         out[g, :, cols[i]] = (U[:, i] - mu_grid[g] * V[:, i]).T
         np.add.at(hits, (g, cols[i]), 1)
@@ -64,62 +65,71 @@ def worst_relative_kkt_gap(Gamma, gamma, mu_grid):
 def test_large_lambda_kills_solution_exactly():
     gram = random_gram(0, p=5)
     lam = 2.0 * np.max(np.abs(gram.gamma)) * 1.0001
-    for j in range(gram.p):
-        beta = lasso_row(gram, j, lam)
-        assert np.all(beta == 0.0)
+    assert np.all(fit_var(gram, lam).A == 0.0)
 
 
 def test_lambda_zero_matches_dense_solve():
     gram = random_gram(1, p=4, n=500)
+    fit = fit_var(gram, 0.0)
     for j in range(gram.p):
-        beta = lasso_row(gram, j, 0.0, tol=1e-10)
         direct = np.linalg.solve(gram.Gamma, gram.gamma[:, j])
-        np.testing.assert_allclose(beta, direct, atol=1e-6)
+        np.testing.assert_allclose(fit.A[j], direct, atol=1e-6)
+        # the KKT certificate at tol 1e-10, tighter than the solver's own
+        scale = np.max(np.abs(gram.gamma[:, j]))
+        assert kkt_gap(gram.Gamma, gram.gamma[:, j], fit.A[j], 0.0) <= 10 * 1e-10 * scale
 
 
 def test_matches_proximal_gradient_objective():
     gram = random_gram(2, p=4, d=3, n=300)  # pd = 12
     lam = 0.1
+    fit = fit_var(gram, lam)
     for j in range(gram.p):
-        beta = lasso_row(gram, j, lam, tol=1e-9)
+        beta = fit.A[j]
         reference = proximal_gradient_lasso(gram.Gamma, gram.gamma[:, j], lam)
         ours = lasso_objective(gram.Gamma, gram.gamma[:, j], beta, lam)
         theirs = lasso_objective(gram.Gamma, gram.gamma[:, j], reference, lam)
         assert abs(ours - theirs) < 1e-8
-        assert kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam) <= 10 * 1e-9
+        gap = kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam)
+        assert gap <= 10 * 1e-9
+        # the KKT certificate at tol 1e-9, tighter than the solver's own
+        assert gap <= 10 * 1e-9 * np.max(np.abs(gram.gamma[:, j]))
 
 
 def test_kkt_gap_matches_loop_reference():
     gram = random_gram(14, p=4, d=2, n=120)  # pd = 8
     rng = np.random.default_rng(14)
     for lam in (0.0, 0.05, 0.5):
+        fit = fit_var(gram, lam)
         for j in range(gram.p):
             draw = rng.standard_normal(8) * (rng.random(8) < 0.5)
             draw[0], draw[1] = 0.0, 0.3  # zero and nonzero entries in every draw
-            for beta in (draw, lasso_row(gram, j, lam)):
+            for beta in (draw, fit.A[j]):
                 ours = kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam)
                 reference = loop_kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam)
                 assert ours == pytest.approx(reference, rel=1e-9, abs=1e-14)
 
 
-def test_kkt_certificate_alone_stops_solver_on_singular_factor_gram():
+def test_kkt_certificate_alone_stops_solver_on_singular_factor_gram(monkeypatch):
     # the factor-adjusted Gram matrix has r = 3 zero eigenvalues, so an
     # iterate can move along its null space without changing the fit or the
-    # gap. This row's path reaches lambda = 0.002 in 29 knots, and the
-    # solution read off it is certified
+    # gap. Row 24's path reaches lambda = 0.002 in 29 knots, every row's
+    # within a budget of 40, and the solutions read off them are certified
     gram = factor_gram()
     assert np.linalg.eigvalsh(gram.Gamma)[2] < 1e-12
-    beta = lasso_row(gram, 24, 0.002, max_iter=40)
-    assert kkt_gap(gram.Gamma, gram.gamma[:, 24], beta, 0.002) <= 10 * 1e-7
-    assert np.count_nonzero(beta) > 0
+    monkeypatch.setattr(favar.varlasso, "_MAX_ITER", 40)
+    fit = fit_var(gram, 0.002)
+    assert fit.iterations[24] == 29
+    for j in range(gram.p):
+        assert kkt_gap(gram.Gamma, gram.gamma[:, j], fit.A[j], 0.002) <= 10 * 1e-7
+    assert np.count_nonzero(fit.A[24]) > 0
 
 
 def test_kkt_certificate_holds_at_default_tolerance():
     gram = random_gram(3, p=6, d=2, n=150)
     for lam in (0.01, 0.1, 1.0):
+        fit = fit_var(gram, lam)
         for j in range(gram.p):
-            beta = lasso_row(gram, j, lam)
-            assert kkt_gap(gram.Gamma, gram.gamma[:, j], beta, lam) <= 10 * 1e-7
+            assert kkt_gap(gram.Gamma, gram.gamma[:, j], fit.A[j], lam) <= 10 * 1e-7
 
 
 def test_scaling_equivariance():
@@ -136,8 +146,9 @@ def test_fit_var_matches_row_by_row_solutions():
     gram = random_gram(7, p=6, d=2, n=200)
     joint = fit_var(gram, 0.1)
     for j in range(gram.p):
-        solo = lasso_row(gram, j, 0.1)
-        np.testing.assert_array_equal(joint.A[j], solo)
+        solo, knots = _path_at(gram.Gamma, gram.gamma[:, [j]], np.array([0.05]))
+        np.testing.assert_array_equal(joint.A[j], solo[:, 0, 0])
+        assert joint.iterations[j] == knots[0, 0]
 
 
 def test_fit_var_huge_lambda_gives_zero_matrix():
@@ -177,6 +188,9 @@ def test_fit_var_block_shapes():
     assert len(fit.A_blocks) == 2
     assert all(block.shape == (3, 3) for block in fit.A_blocks)
     np.testing.assert_array_equal(np.hstack(fit.A_blocks), fit.A)
+    # the blocks are read-only views of the frozen A, not stored copies
+    assert all(np.shares_memory(block, fit.A) and not block.flags.writeable
+               for block in fit.A_blocks)
 
 
 def test_banded_support_recovery_with_cv_lambda():
@@ -259,10 +273,11 @@ def test_cv_lambda_frees_each_walks_solutions_before_the_next_walk():
     assert peak < 4.5e6
 
 
-def test_cv_lambda_knot_budget_raises_convergence_error():
+def test_cv_lambda_knot_budget_raises_convergence_error(monkeypatch):
     rng = np.random.default_rng(15)
+    monkeypatch.setattr(favar.varlasso, "_MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="after 2 knots") as exc_info:
-        cv_lambda(rng.standard_normal((80, 6)), d=1, n_lambda=10, n_folds=4, max_iter=2)
+        cv_lambda(rng.standard_normal((80, 6)), d=1, n_lambda=10, n_folds=4)
     assert exc_info.value.iterations.max() == 2
 
 
@@ -273,22 +288,23 @@ def test_lasso_path_walks_rank_deficient_factor_gram_to_its_end():
     gram = factor_gram()
     mu_grid = np.max(np.abs(gram.gamma)) * np.geomspace(1.0, _LAMBDA_DEPTH, 30)
     largest = 0
-    for cols, hi, lo, U, V in _lasso_path(gram.Gamma, gram.gamma, mu_grid[-1], 1000):
+    for cols, hi, lo, U, V in _lasso_path(gram.Gamma, gram.gamma, mu_grid[-1]):
         assert np.all(np.isfinite(U)) and np.all(np.isfinite(V))
         largest = max(largest, int(np.count_nonzero(V, axis=0).max()))
     assert largest == 30 - 3
     assert worst_relative_kkt_gap(gram.Gamma, gram.gamma, mu_grid) <= 1e-10
 
 
-def test_fit_var_certifies_small_penalties_on_rank_deficient_factor_gram():
+def test_fit_var_certifies_small_penalties_on_rank_deficient_factor_gram(monkeypatch):
     # below the lambda-CV depth, rounding leaves the coordinates outside a
     # full-rank active set with correlations of rounding size; none of them
     # may join, or the path makes spurious knots on singular blocks
     gram = factor_gram()
     head = 2.0 * np.max(np.abs(gram.gamma))
     scale = np.max(np.abs(gram.gamma), axis=0)
+    monkeypatch.setattr(favar.varlasso, "_MAX_ITER", 1000)
     for lam in (1e-6 * head, 1e-14 * head, 0.0):
-        fit = fit_var(gram, lam, max_iter=1000)
+        fit = fit_var(gram, lam)
         for j in range(gram.p):
             gap = kkt_gap(gram.Gamma, gram.gamma[:, j], fit.A[j], lam)
             assert gap <= 10 * 1e-7 * scale[j]
@@ -348,7 +364,7 @@ def test_singular_join_inside_a_stack_reads_its_own_fold():
 def column_segments(Gamma, gamma, mu_stop, fold=None):
     """Each column's path as its list of segments ``(hi, lo, u, v)``."""
     segments = [[] for _ in range(gamma.shape[1])]
-    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_stop, 1000, fold):
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_stop, fold):
         for i, j in enumerate(cols):
             segments[j].append((hi[i], lo[i], U[:, i], V[:, i]))
     return segments
@@ -403,7 +419,7 @@ def leaves_after_matching_fresh_solves(Gamma, gamma, mu_stop, rtol):
     """
     size = np.zeros(gamma.shape[1], dtype=int)
     leaves = 0
-    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_stop, 1000):
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, mu_stop):
         for i in np.flatnonzero(hi < np.inf):
             j = cols[i]
             A = np.flatnonzero(V[:, i])
@@ -439,7 +455,7 @@ def test_lasso_path_two_events_on_one_knot():
     soft = np.sign(gamma) * np.maximum(np.abs(gamma) - mu_grid[:, None, None], 0.0)
     np.testing.assert_allclose(B, soft / np.diag(Gamma)[:, None], rtol=0, atol=1e-15)
     knots = {}
-    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, 0.01, 100):
+    for cols, hi, lo, U, V in _lasso_path(Gamma, gamma, 0.01):
         for j in cols[hi < np.inf]:
             knots[int(j)] = knots.get(int(j), 0) + 1
     assert knots == {0: 4, 1: 4}
@@ -470,14 +486,14 @@ def test_zero_diagonal_with_signal_rejected():
     gamma = np.array([[0.5, 0.0], [0.2, 0.1]])
     gram = GramSystem(Gamma=Gamma, gamma=gamma, N=10, d=1, p=2)
     with pytest.raises(ValueError, match="unbounded"):
-        lasso_row(gram, 0, 0.1)
+        fit_var(gram, 0.1)
     with pytest.raises(ValueError, match="unbounded"):
         path_solutions(Gamma, gamma, np.array([0.05]))
     # in a stack, only fold 1's columns meet its dead coordinate, and the
     # error names the column of the walk
     stack, moments = np.stack([np.eye(2), Gamma]), np.hstack([gamma, gamma])
     with pytest.raises(ValueError, match=r"gamma\[0,2\] != 0"):
-        list(_lasso_path(stack, moments, 0.05, 10, np.array([0, 0, 1, 1])))
+        list(_lasso_path(stack, moments, 0.05, np.array([0, 0, 1, 1])))
 
 
 def test_zero_diagonal_without_signal_is_fine():
@@ -485,22 +501,24 @@ def test_zero_diagonal_without_signal_is_fine():
     Gamma[1, 1] = 1.0
     gamma = np.array([[0.0, 0.0], [0.2, 0.1]])
     gram = GramSystem(Gamma=Gamma, gamma=gamma, N=10, d=1, p=2)
-    beta = lasso_row(gram, 0, 0.1)
-    assert beta[0] == 0.0
+    assert fit_var(gram, 0.1).A[0, 0] == 0.0
     # the path keeps the dead coordinate at zero and solves the live one
     B = path_solutions(Gamma, gamma, np.array([0.15, 0.05, 0.01]))
     np.testing.assert_array_equal(B[:, 0], 0.0)
     np.testing.assert_allclose(B[:, 1], [[0.05, 0.0], [0.15, 0.05], [0.19, 0.09]])
 
 
-def test_convergence_error_carries_iterate_and_gap():
+def test_convergence_error_carries_iterate_and_gap(monkeypatch):
     gram = random_gram(13, p=6, n=50)
-    with pytest.raises(ConvergenceError) as exc_info:
-        lasso_row(gram, 0, 0.001, tol=1e-14, max_iter=1)
+    monkeypatch.setattr(favar.varlasso, "_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="after 1 knots") as exc_info:
+        fit_var(gram, 0.001)
     err = exc_info.value
-    assert err.beta.shape == (6, 1)
+    assert err.beta.shape == (6, 6)
     assert err.kkt_gap > 0.0
+    # every row stops after its one knot, unfinished
     assert err.kkt_gap == pytest.approx(
-        kkt_gap(gram.Gamma, gram.gamma[:, 0], err.beta[:, 0], 0.001), rel=1e-12
+        max(kkt_gap(gram.Gamma, gram.gamma[:, j], err.beta[:, j], 0.001) for j in range(6)),
+        rel=1e-12,
     )
-    assert np.max(err.iterations) == 1
+    np.testing.assert_array_equal(err.iterations, 1)
