@@ -7,8 +7,9 @@ each round one of them runs one round of the workload, then the other runs
 the same round on the same inputs, and the order swaps every round, so a
 drift of the machine's speed falls on both trees alike. Only one worker
 computes at a time. A round is timed by its worker's process CPU time
-(``time.process_time``) and then checked, untimed, by the workload's own
-checks. The first ``WARM_ROUNDS`` rounds are run and checked but not counted.
+(``time.process_time``) and by the wall clock (``time.perf_counter``), and
+then checked, untimed, by the workload's own checks. The first
+``WARM_ROUNDS`` rounds are run and checked but not counted.
 
 The position in which a worker was started has been seen to bias its CPU
 time, by about 1% for the second one started on ``rme-cell``, whatever tree
@@ -20,7 +21,9 @@ each start position for half the rounds, and the bias falls on both alike.
 Printed per workload: the median over rounds of the ratio new/old of the
 two trees' CPU times in one round, the quartiles of that ratio, the share of
 rounds in which the new tree took less CPU, and each tree's median CPU time
-per operation.
+per operation; then the same median and quartiles of the wall-clock ratio,
+and each worker's peak resident set size (``ru_maxrss``, in MB of 2^20
+bytes as in the benchmark's ``peak_rss_mb``), old tree's workers first.
 
     python3 scripts/time_pair.py OLD_SRC NEW_SRC [--workload NAME ...] [--rounds N]
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -66,11 +70,13 @@ def worker(name: str) -> None:
     print(json.dumps(ready), file=replies, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for _ in sys.stdin:
-            t0 = time.process_time()
+            t0, w0 = time.process_time(), time.perf_counter()
             rnd = wl.run_round(inputs, Path(tmp))
-            cpu = time.process_time() - t0
+            cpu, wall = time.process_time() - t0, time.perf_counter() - w0
             problems = rnd.errors + (wl.check(rnd, Path(tmp)) if rnd.outputs else [])
-            print(json.dumps({"cpu": cpu, "problems": problems}), file=replies, flush=True)
+            rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            print(json.dumps({"cpu": cpu, "wall": wall, "rss_mb": rss, "problems": problems}),
+                  file=replies, flush=True)
 
 
 class Worker:
@@ -101,35 +107,44 @@ class Worker:
 
 
 def pair(srcs: tuple[str, str], name: str, rounds: int,
-         first: int) -> tuple[np.ndarray, int, list[str]]:
-    """CPU seconds of each counted round, rounds x (old, new), on one pair of
-    workers started tree ``srcs[first]`` first; ops per round; problems."""
+         first: int) -> tuple[np.ndarray, np.ndarray, int, list[str]]:
+    """Seconds of each counted round, (cpu, wall) x rounds x (old, new), on one
+    pair of workers started tree ``srcs[first]`` first; each worker's peak RSS
+    in MB, (old, new); ops per round; problems."""
     workers = {}
-    cpu = np.empty((WARM_ROUNDS + rounds, 2))
+    secs = np.empty((2, WARM_ROUNDS + rounds, 2))
+    rss = np.empty(2)
     problems = []
     try:
         for side in (first, 1 - first):
             workers[side] = Worker(srcs[side], name)
             check_tree(srcs[side], workers[side].favar)
-        for i in range(cpu.shape[0]):
+        for i in range(secs.shape[1]):
             for side in (0, 1) if i % 2 == 0 else (1, 0):
                 reply = workers[side].step()
-                cpu[i, side] = reply["cpu"]
+                secs[:, i, side] = reply["cpu"], reply["wall"]
+                rss[side] = reply["rss_mb"]
                 problems += [f"{name} {('old', 'new')[side]} round {i}: {p}"
                              for p in reply["problems"]]
     finally:
         for w in workers.values():
             w.close()
-    return cpu[WARM_ROUNDS:], workers[0].ops, problems
+    return secs[:, WARM_ROUNDS:], rss, workers[0].ops, problems
 
 
-def summary(name: str, cpu: np.ndarray, ops: int) -> str:
+def summary(name: str, cpu: np.ndarray, wall: np.ndarray, ops: int, rss: np.ndarray) -> str:
+    """Two lines on one workload: ``cpu`` and ``wall`` are rounds x (old, new)
+    seconds, ``rss`` is workers x (old, new) peak RSS in MB."""
     ratio = cpu[:, 1] / cpu[:, 0]
     q1, med, q3 = np.percentile(ratio, [25, 50, 75])
     old, new = 1e3 * np.median(cpu, axis=0) / ops
+    w1, wmed, w3 = np.percentile(wall[:, 1] / wall[:, 0], [25, 50, 75])
+    rss_old, rss_new = (", ".join(f"{mb:.1f}" for mb in rss[:, side]) for side in (0, 1))
     return (f"{name}: {ratio.size} rounds; new/old CPU per round median {med:.3f} "
             f"(quartiles {q1:.3f}-{q3:.3f}); new faster in {int(np.sum(ratio < 1.0))}/"
-            f"{ratio.size}; median CPU per operation old {old:.3f} ms, new {new:.3f} ms")
+            f"{ratio.size}; median CPU per operation old {old:.3f} ms, new {new:.3f} ms\n"
+            f"{name}: new/old wall per round median {wmed:.3f} (quartiles {w1:.3f}-{w3:.3f}); "
+            f"peak RSS per worker old {rss_old} MB, new {rss_new} MB")
 
 
 def main() -> int:
@@ -166,11 +181,13 @@ def main() -> int:
         except TreeError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-        problems = [line for _, _, lines in runs for line in lines]
+        problems = [line for *_, lines in runs for line in lines]
         for line in problems:
             print(f"FAIL {line}")
         failed |= bool(problems)
-        print(summary(name, np.concatenate([cpu for cpu, _, _ in runs]), runs[0][1]), flush=True)
+        cpu, wall = np.concatenate([secs for secs, *_ in runs], axis=1)
+        print(summary(name, cpu, wall, runs[0][2], np.array([rss for _, rss, *_ in runs])),
+              flush=True)
     return 1 if failed else 0
 
 

@@ -655,6 +655,9 @@ def main(argv=None) -> int:
                     raise CliError("usage", "--metric rme needs --errs-a and --errs-b")
                 if args.metric == "fluctuation" and not (args.fe_a and args.fe_b):
                     raise CliError("usage", "--metric fluctuation needs --fe-a and --fe-b")
+                if args.metric == "fluctuation" and not 0.0 < args.mu < 1.0:
+                    raise CliError("usage", f"--mu must lie strictly between 0 and 1, "
+                                            f"got {args.mu}")
             return args.func(args)
     except CliError as e:
         print(f"error:{e.category}: {e}", file=sys.stderr)

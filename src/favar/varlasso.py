@@ -156,13 +156,13 @@ def _live_coordinates(Gamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 _TOL, _MAX_ITER = 1e-7, 100_000
 # lambda path depth: the grid runs down to this fraction of its largest value
 _LAMBDA_DEPTH = 1e-3
-# column-coordinates whose event candidates are searched together: a block
-# holds _SEARCH_BLOCK // pd columns (16 at pd = 300), which bounds the memory
-# of the candidate stack, 3 x pd per column, whatever pd is. Searching all
-# columns at once gives the same fits, but on the benchmark's (600, 150) d = 2
-# fits it raised peak RSS from 67.1-67.2 to 76.1-76.3 MB (3 runs each, one
-# BLAS thread), past that metric's 10% bound
-_SEARCH_BLOCK = 16 * 300
+# column-coordinates whose events are searched together: a block holds
+# _SEARCH_BLOCK // pd columns (100 at pd = 300). Its search holds about four
+# pd-vectors per column (measured: 10 KB per column at pd = 300), so about
+# 1 MB whatever pd is. On the benchmark's (600, 150) d = 2 fits, peak RSS
+# read 66.4-66.5 MB with 100-column blocks, 67.0-67.2 MB with 16 to 48, and
+# 69.3-69.4 MB with all 150 columns at once (2 runs each, one BLAS thread)
+_SEARCH_BLOCK = 100 * 300
 # doubles the inverse stack of one lambda-CV walk may reach in the worst case,
 # every column's active set at pd (1 MiB): it sets how many folds walk at once
 _FOLD_STACK = 2**17
@@ -183,7 +183,7 @@ def _fold_products(Gamma: np.ndarray, fold: np.ndarray, X: np.ndarray) -> np.nda
     out = np.empty(X.shape)
     cuts = [0, *(np.flatnonzero(fold[1:] != fold[:-1]) + 1), fold.size]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        out[..., lo:hi] = Gamma[fold[lo]] @ X[..., lo:hi]
+        np.matmul(Gamma[fold[lo]], X[..., lo:hi], out=out[..., lo:hi])
     return out
 
 
@@ -210,6 +210,9 @@ class _ActiveInverses:
     singular to working precision. From then on the row is pinned: each of
     its events refactorises its gathered block with ``pinv``, so its column
     gets the min-norm solution.
+
+    ``last[i]`` is the slot row i's last event filled (a join) or emptied (a
+    leave, after which the slot is padding).
     """
 
     def __init__(self, Gamma: np.ndarray, first: np.ndarray, fold: np.ndarray | None = None):
@@ -217,6 +220,7 @@ class _ActiveInverses:
         self.fold = np.zeros(first.size, dtype=int) if fold is None else fold
         self.idx = first[:, None].copy()
         self.size = np.ones(first.size, dtype=int)
+        self.last = np.zeros(first.size, dtype=int)
         self.H = (1.0 / self.Gamma[self.fold, first, first])[:, None, None]
         self.pinned = np.zeros(first.size, dtype=bool)
 
@@ -225,6 +229,7 @@ class _ActiveInverses:
         w = int(self.size[rows].max(initial=0))
         self.H, self.idx = self.H[rows, :w, :w], self.idx[rows, :w]
         self.size, self.pinned, self.fold = self.size[rows], self.pinned[rows], self.fold[rows]
+        self.last = self.last[rows]
 
     def toggle(self, k: np.ndarray) -> None:
         """Row i's coordinate ``k[i]`` joins its active set if outside it, else leaves."""
@@ -262,26 +267,44 @@ class _ActiveInverses:
             H[lv, :, e] = 0.0
             idx[lv, e] = -1
         self.size += 1 - 2 * leave
+        self.last = end
         for i in np.flatnonzero(self.pinned):
             A = idx[i, : self.size[i]]
             H[i] = 0.0
             H[i, : A.size, : A.size] = np.linalg.pinv(Gamma[fold[i]][np.ix_(A, A)])
 
-    def solve(self, gamma: np.ndarray, S: np.ndarray, cols: np.ndarray):
-        """``Gamma_AA^-1 [gamma_A s_A]`` for each row's column ``cols[i]`` and active set A.
+    def solve(self, gamma: np.ndarray, S: np.ndarray, cols: np.ndarray, hi: np.ndarray):
+        """``Gamma_AA^-1 [gamma_A s_A]`` for each row's column ``cols[i]`` and active set A,
+        and the row's next leave below its knot ``hi[i]``.
 
-        ``S`` holds the active signs. Returns ``[U, V]``, 2 x pd x len(cols),
-        zero off each active set.
+        ``S`` holds the active signs, 1 or -1 on each active set and finite
+        elsewhere (pad slots read it against zeros of H). Returns ``[U, V]``,
+        2 x pd x len(cols), zero off each active set, and each row's latest
+        leave: its time, clamped to ``hi``, and its coordinate, the lowest of
+        a tie. The slot of the row's last event may not leave. A row with no
+        leave gets time 0.
+
+        Only active coordinates can leave, so the search runs over slots:
+        with b = u - mu v and sign s, a coefficient with s v < 0 shrinks as
+        mu falls and reaches 0 at mu = u / v, which is a leave if positive.
         """
         idx, c = self.idx, cols[:, None]
+        rows = np.arange(cols.size)
         R = np.empty(idx.shape + (2,))
         R[:, :, 0] = gamma[idx, c]
         R[:, :, 1] = S[idx, c]
         sol = self.H @ R
         # pad slots scatter their zeros to an extra last row
         UV = np.zeros((2, gamma.shape[0] + 1, cols.size))
-        UV[:, idx, np.arange(cols.size)[:, None]] = np.moveaxis(sol, -1, 0)
-        return UV[:, :-1]
+        UV[:, idx, rows[:, None]] = np.moveaxis(sol, -1, 0)
+        # a time u / v <= 0 is no leave, but it never exceeds the barred slot's 0
+        times = np.zeros(idx.shape)
+        np.divide(sol[..., 0], sol[..., 1], out=times, where=R[..., 1] * sol[..., 1] < 0.0)
+        np.minimum(times, hi[:, None], out=times)
+        times[rows, self.last] = 0.0
+        t = times.max(axis=1)
+        k = np.min(idx, axis=1, initial=gamma.shape[0], where=times == t[:, None])
+        return UV[:, :-1], t, k
 
 
 def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float,
@@ -306,11 +329,18 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float,
     reports them.
 
     At a knot the correlations c(mu) = gamma - Gamma b(mu) = cu + mu cv are
-    linear too, so the next event of each coordinate has a closed form.
-    Events due at or above the current knot (ties, rounding) happen at it.
-    The coordinate that changed at a knot is barred only from undoing that
+    linear too, so the next event of each coordinate has a closed form, the
+    step-length rule of LARS (Efron et al. 2004, eq. 2.13). An inactive
+    coordinate joins where |c(mu)| reaches mu. The join floor below is not
+    negative, so it can join only with the sign z of its ``cu``, at
+    mu = |cu| / (1 - z cv) if that slope is positive. An active coordinate
+    leaves where its coefficient reaches 0, so leaves are searched over each
+    column's active slots only (``_ActiveInverses.solve``). Events due at or
+    above the current knot (ties, rounding) happen at it. Of tied events a
+    join goes before a leave, then the lower coordinate first. The
+    coordinate that changed at a knot is barred only from undoing that
     change there: it may still re-enter later with the opposite sign. The
-    event search runs over blocks of ``_SEARCH_BLOCK // pd`` columns, with
+    joins are searched over blocks of ``_SEARCH_BLOCK // pd`` columns, with
     one product ``Gamma_f [U V]`` per fold f present in a block.
 
     ``U`` and ``V`` come from ``_ActiveInverses``: each walking column's
@@ -319,8 +349,8 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float,
     singular. On the tests' rank-deficient factor Gram walked to lambda = 0
     they stay within 1e-13 relative of a fresh solve at every knot.
 
-    A coordinate joins only if its sign-matched ``cu`` exceeds
-    ``_JOIN_FLOOR`` times its column's largest ``|gamma|``. Deep on a
+    A coordinate joins only if its ``|cu|`` exceeds ``_JOIN_FLOOR`` times
+    its column's largest ``|gamma|``. Deep on a
     rank-deficient Gram matrix, the coordinates outside a full-rank active
     set have ``cu`` of rounding size, and letting them join makes spurious
     knots on singular blocks. The correlation of a coordinate kept out this
@@ -335,60 +365,65 @@ def _lasso_path(Gamma: np.ndarray, gamma: np.ndarray, mu_stop: float,
     ])
     mu = np.abs(gamma).max(axis=0, initial=0.0)
     floor = _JOIN_FLOOR * mu
-    zeros = np.zeros((pd_, m))
-    yield np.arange(m), np.full(m, np.inf), mu.copy(), zeros, zeros
+    yield np.arange(m), np.full(m, np.inf), mu, *[np.zeros((pd_, m))] * 2
     cols = np.flatnonzero(mu > mu_stop)
-    S = np.zeros((pd_, m))
+    # state[k, j], coordinate k in column j: its sign while active; twice the
+    # sign it left with, at the knot after it left; 4 if it is dead; else 0.
+    # A coordinate whose cu has sign z may join only if |z + state| = 1: an
+    # inactive live one, with either sign unless it left with that sign at
+    # the current knot (z = 0 never clears the floor)
+    state = np.where(live[fold].T, 0.0, 4.0)
     last = np.abs(gamma[:, cols]).argmax(axis=0)
-    S[last, cols] = np.sign(gamma[last, cols])
-    # event kinds, in the order of the candidate stack: 0 joins at +mu, 1
-    # joins at -mu, 2 leaves. At its current knot, column j may not take
-    # event ``bar_kind[j]`` on coordinate ``bar_coord[j]``
-    bar_kind = np.full(m, 2)
-    bar_coord = np.zeros(m, dtype=int)
-    bar_coord[cols] = last
+    state[last, cols] = np.sign(gamma[last, cols])
+    changed = np.zeros(m, dtype=int)  # the coordinate of each column's last event
+    changed[cols] = last
     inv = _ActiveInverses(Gamma, last, fold[cols])
-    sigma = np.array([1.0, -1.0])[:, None, None]
     width = max(1, _SEARCH_BLOCK // pd_)
+    hi = mu[cols]
     for _ in range(_MAX_ITER):
         if cols.size == 0:
             return
-        UV = inv.solve(gamma, S, cols)
-        U, V = UV
-        hi = mu[cols]
-        event = np.empty(cols.size, dtype=int)
-        lo = np.empty(cols.size)
-        # the candidate stack of a block of columns is 3 x pd per column
+        UV, lo, k = inv.solve(gamma, state, cols, hi)
+        join_lo, join_k = np.empty(cols.size), np.empty(cols.size, dtype=int)
+        sign = np.empty(cols.size)
         for start in range(0, cols.size, width):
             blk = slice(start, start + width)
-            c, Ub, Vb = cols[blk], U[:, blk], V[:, blk]
-            GU, CV = _fold_products(Gamma, fold[c], UV[:, :, blk])
-            CU = gamma[:, c] - GU
-            Sc = S[:, c]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = 1.0 - sigma * CV
-                join = np.where(
-                    (Sc == 0.0) & live[fold[c]].T & (slope > 0.0) & (sigma * CU > floor[c]),
-                    sigma * CU / slope, 0.0,
-                )
-                leave = np.where((Sc * Vb < 0.0) & (Sc * Ub < 0.0), Ub / Vb, 0.0)
-            times = np.minimum(np.concatenate([join, leave[None]]), hi[blk])
+            c = cols[blk]
+            # each coordinate's join time, |cu| / (1 - z cv), is written over cu
+            times, slope = _fold_products(Gamma, fold[c], UV[:, :, blk])
+            z = gamma[:, c]
+            np.subtract(z, times, out=times)
+            np.sign(times, out=z)
+            np.abs(times, out=times)
+            np.multiply(z, slope, out=slope)
+            np.subtract(1.0, slope, out=slope)
+            gate = state[:, c]
+            gate += z
+            ok = (np.abs(gate, out=gate) == 1.0) & (slope > 0.0) & (times > floor[c])
+            np.divide(times, slope, out=times, where=ok)
+            times *= ok
+            np.minimum(times, hi[blk], out=times)
             at = np.arange(c.size)
-            times[bar_kind[c], bar_coord[c], at] = 0.0
-            times = times.reshape(3 * pd_, c.size)
-            event[blk] = times.argmax(axis=0)
-            lo[blk] = times[event[blk], at]
+            join_k[blk] = best = times.argmax(axis=0)
+            join_lo[blk] = times[best, at]
+            sign[blk] = z[best, at]
+        join = join_lo >= lo
+        lo = np.where(join, join_lo, lo)
+        k = np.where(join, join_k, k)
+        U, V = UV
         yield cols, hi, lo, U, V
         go = lo > mu_stop
-        cols, kind, k = cols[go], *np.divmod(event[go], pd_)
         if not go.all():
-            inv.keep(np.flatnonzero(go))
+            rows = np.flatnonzero(go)
+            cols, lo, k, join, sign = cols[rows], lo[rows], k[rows], join[rows], sign[rows]
+            inv.keep(rows)
         inv.toggle(k)
-        old = S[k, cols]
-        S[k, cols] = np.where(kind == 2, 0.0, sigma[np.minimum(kind, 1), 0, 0])
-        bar_kind[cols] = np.where(kind == 2, (old < 0.0).astype(int), 2)
-        bar_coord[cols] = k
-        mu[cols] = lo[go]
+        # the last event's bar lapses: a left coordinate's 2 s becomes 0
+        prev = changed[cols]
+        state[prev, cols] = np.fmod(state[prev, cols], 2.0)
+        state[k, cols] = np.where(join, sign, 2.0 * state[k, cols])
+        changed[cols] = k
+        hi = lo
 
 
 def _path_at(Gamma: np.ndarray, gamma: np.ndarray, mus: np.ndarray,
@@ -529,6 +564,9 @@ def cv_lambda(xi_hat, d: int, n_lambda: int = 50, n_folds: int = 5,
     full = build_gram(values, d) if gram is None else gram
     folds = _cv_folds(values, d, n_folds)
     lam_max = 2.0 * max(float(np.max(np.abs(g))) for g in [full.gamma] + [f[1] for f in folds])
+    if lam_max == 0.0:
+        raise ValueError("gamma is zero on the full data and every training fold: "
+                         "the second moments underflow")
     grid = np.geomspace(lam_max, lam_max * _LAMBDA_DEPTH, n_lambda)
     p = values.shape[1]
     per_walk = max(1, _FOLD_STACK // (p * (p * d) ** 2))

@@ -157,3 +157,37 @@ def per_fold_lambda_scores(values, d, grid, n_folds):
                         scores[k, g] += r @ r + mu * (2.0 * (r @ q) + mu * (q @ q))
         scores[k] /= va_resp.size
     return scores, knots
+
+
+def loop_next_event(cu, cv, u, v, signs, live, floor, hi, bar):
+    """One column's next event on its segment below the knot ``hi``, by loops.
+
+    On the segment the column's correlations are c(mu) = cu + mu cv and its
+    solution is b(mu) = u - mu v, with ``signs`` its active signs (0 off the
+    active set). Returns ``(time, kind, k)``: coordinate k joins with sign
+    ``kind`` (1 or -1) or leaves (``kind`` 0) at mu = ``time``, or
+    ``(0.0, None, None)`` when nothing happens above mu = 0. Candidates:
+
+    - a ``live`` inactive coordinate joins with sign s where s c(mu) reaches
+      mu, at mu = s cu / (1 - s cv), if s cu exceeds ``floor`` and that
+      slope is positive; both signs are tried;
+    - an active coordinate leaves where b(mu) reaches 0, at mu = u / v, if
+      it shrinks as mu falls (s v < 0) and reaches 0 above mu = 0 (s u < 0).
+
+    A time at or above ``hi`` is taken at ``hi``. ``bar``, a ``(kind, k)``,
+    is the event that would undo the one taken at ``hi``: it may not happen.
+    Of tied events a join goes before a leave, then the lower coordinate.
+    """
+    events = []
+    for k in range(len(cu)):
+        if signs[k] == 0.0:
+            for s in (1.0, -1.0):
+                slope = 1.0 - s * cv[k]
+                if live[k] and s * cu[k] > floor and slope > 0.0:
+                    events.append((min(s * cu[k] / slope, hi), int(s), k))
+        elif signs[k] * v[k] < 0.0 and signs[k] * u[k] < 0.0:
+            events.append((min(u[k] / v[k], hi), 0, k))
+    events = [e for e in events if (e[1], e[2]) != bar]
+    if not events:
+        return 0.0, None, None
+    return max(events, key=lambda e: (e[0], e[1] != 0, -e[2]))

@@ -318,6 +318,19 @@ def test_evaluate_fluctuation_outputs(tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+@pytest.mark.parametrize("mu", ["1.0", "0", "nan"])
+def test_evaluate_refuses_mu_outside_the_unit_interval_before_reading(tmp_path, capsys, mu):
+    # --fe-a names no file: the bad flag is reported, not the missing file
+    out = tmp_path / "ev"
+    code = main(["evaluate", "--metric", "fluctuation", "--fe-a", str(tmp_path / "none.csv"),
+                 "--fe-b", str(tmp_path / "none.csv"), "--mu", mu, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error:usage: --mu must lie strictly between 0 and 1, got {float(mu)}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, why", [("x/y", "cannot name an output file"),
                                        ("x" * 250, "cannot name an output file"),
                                        ("summary", "would overwrite fluctuation_summary.csv")],
@@ -396,6 +409,22 @@ def test_overflowing_moments_fail_at_their_stage(tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err == f"error:stage:{line}\n"
         assert not out.exists()
+
+
+def test_moments_that_underflow_to_zero_fail_at_lambda_cv(tmp_path, capsys):
+    # a tau of 1e-300 clips every entry to about 1e-300, whose squares are 0
+    x = simulate_panel(DgpSpec(n=150, p=5, seed=2)).x
+    np.savetxt(tmp_path / "x.csv", x.values, delimiter=",", header=",".join(x.names),
+               comments="")
+    out = tmp_path / "o"
+    code = main(["estimate", "--input", str(tmp_path / "x.csv"), "--tau", "1e-300",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error:stage:lambda-cv: gamma is zero on the full data and every training fold: "
+        "the second moments underflow\n"
+    )
+    assert not out.exists()
 
 
 def test_failing_run_prints_one_stderr_line(tmp_path):

@@ -65,6 +65,17 @@ def test_stage_errors_carry_stage_names():
     assert excinfo.value.stage == "scales"
 
 
+@pytest.mark.parametrize("tau", ["cv", math.inf])
+def test_moments_that_underflow_to_zero_fail_at_lambda_cv(tau):
+    # squares of entries near 1e-170 underflow, so every moment is zero and
+    # lambda-CV has no penalty path: it names the cause
+    x = simulate_panel(DgpSpec(n=150, p=5, seed=2)).x
+    tiny = PanelSeries.from_values(x.values * 1e-170)
+    with pytest.raises(StageError, match="^lambda-cv: gamma is zero on the full data and "
+                                         "every training fold: the second moments underflow$"):
+        fit(tiny, FitOptions(tau=tau))
+
+
 def test_auto_factor_number_flows_through():
     spec = DgpSpec(n=200, p=40, var_design="none", factor_design="var1_factors", r=3, seed=4)
     panel = simulate_panel(spec)

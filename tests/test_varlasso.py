@@ -10,9 +10,11 @@ from favar.simulate import DgpSpec, simulate_panel
 from favar.varlasso import (
     ConvergenceError,
     _FOLD_STACK,
+    _JOIN_FLOOR,
     _LAMBDA_DEPTH,
     _ActiveInverses,
     _cv_folds,
+    _fold_products,
     _lasso_path,
     _path_at,
     cv_lambda,
@@ -24,6 +26,7 @@ from reference_impls import (
     fresh_active_solution,
     lasso_objective,
     loop_kkt_gap,
+    loop_next_event,
     per_fold_lambda_scores,
     proximal_gradient_lasso,
 )
@@ -323,7 +326,7 @@ def test_singular_join_refactorises_its_column_and_spares_the_rest_of_the_batch(
     for k in ([5, 2, 3], [1, 3, 2], [5, 4, 1]):
         inv.toggle(np.array(k))
     S = np.array([[1, 0, 0], [1, 1, -1], [0, -1, 1], [0, 1, 1], [0, 1, -1], [0, 0, 0]], float)
-    U, V = inv.solve(gamma, S, np.arange(3))
+    (U, V), _, _ = inv.solve(gamma, S, np.arange(3), np.full(3, np.inf))
     assert inv.pinned.tolist() == [True, False, False]
     for j in (1, 2):
         A = np.flatnonzero(S[:, j])
@@ -349,7 +352,7 @@ def test_singular_join_inside_a_stack_reads_its_own_fold():
     for k in ([5, 2, 3], [1, 3, 2], [5, 4, 1]):
         inv.toggle(np.array(k))
     S = np.array([[1, 0, 0], [1, 1, -1], [0, -1, 1], [0, 1, 1], [0, 1, -1], [0, 0, 0]], float)
-    U, V = inv.solve(gamma, S, np.arange(3))
+    (U, V), _, _ = inv.solve(gamma, S, np.arange(3), np.full(3, np.inf))
     assert inv.pinned.tolist() == [True, False, False]
     for j in (1, 2):
         A = np.flatnonzero(S[:, j])
@@ -459,6 +462,76 @@ def test_lasso_path_two_events_on_one_knot():
         for j in cols[hi < np.inf]:
             knots[int(j)] = knots.get(int(j), 0) + 1
     assert knots == {0: 4, 1: 4}
+
+
+def events_checked_against_loop_reference(Gamma, gamma, mu_stop, fold=None):
+    """Walk the paths and check each segment against ``loop_next_event``.
+
+    The active signs and the bar are tracked here from the events. On every
+    segment the support of V must be the tracked active set, so each knot's
+    change is its event, and ``lo`` must equal the reference's time exactly:
+    cu and cv come from the walk's own product of each fold's Gamma with
+    [U V]. Returns the events taken, each as ``(column, kind, coordinate)``.
+    """
+    Gamma3 = Gamma.reshape((-1,) + Gamma.shape[-2:])
+    pd_, m = gamma.shape
+    fold = np.zeros(m, dtype=int) if fold is None else fold
+    live = np.diagonal(Gamma3, axis1=1, axis2=2) > 0.0
+    floor = _JOIN_FLOOR * np.max(np.abs(gamma), axis=0)
+    first = np.argmax(np.abs(gamma), axis=0)
+    signs = np.zeros((pd_, m))
+    signs[first, np.arange(m)] = np.sign(gamma[first, np.arange(m)])
+    bar = [(0, k) for k in first]  # the first coordinate may not leave at once
+    events = []
+    walk = _lasso_path(Gamma, gamma, mu_stop, fold)
+    next(walk)  # the path head
+    for cols, hi, lo, U, V in walk:
+        GU, CV = _fold_products(Gamma3, fold[cols], np.stack([U, V]))
+        CU = gamma[:, cols] - GU
+        for i, j in enumerate(cols):
+            A = np.flatnonzero(signs[:, j])
+            assert np.array_equal(np.flatnonzero(V[:, i]), A)
+            time, kind, k = loop_next_event(CU[:, i], CV[:, i], U[:, i], V[:, i], signs[:, j],
+                                            live[fold[j]], floor[j], hi[i], bar[j])
+            assert lo[i] == time
+            if lo[i] > mu_stop:
+                bar[j] = (int(signs[k, j]), k) if kind == 0 else (0, k)
+                signs[k, j] = kind
+                events.append((int(j), kind, int(k)))
+    return events
+
+
+def test_event_search_matches_loop_reference():
+    # the diagonal Gram ties joins of both signs on one knot; the factor Gram,
+    # walked to lambda = 0, meets the join floor and leaves; the two-fold
+    # stack adds a fold with a dead coordinate; a near-collinear Gram meets
+    # both bars
+    events = events_checked_against_loop_reference(
+        np.diag([1.0, 2.0, 0.5, 4.0]),
+        np.array([[0.8, 0.4], [0.8, -0.4], [0.3, 0.4], [-0.3, 0.1]]), 0.01,
+    )
+    # column 1 ties coordinate 1 at -mu and 2 at +mu: the lower coordinate goes first
+    assert [e for e in events if e[0] == 1] == [(1, -1, 1), (1, 1, 2), (1, 1, 3)]
+    factor = factor_gram()
+    events = events_checked_against_loop_reference(factor.Gamma, factor.gamma, 0.0)
+    assert {-1, 0, 1} <= {kind for _, kind, _ in events}
+    rand = random_gram(17, p=30, n=300)
+    Gamma1, gamma1 = rand.Gamma.copy(), rand.gamma.copy()
+    Gamma1[7], Gamma1[:, 7], gamma1[7] = 0.0, 0.0, 0.0
+    gamma = np.hstack([factor.gamma, gamma1])
+    events = events_checked_against_loop_reference(
+        np.stack([factor.Gamma, Gamma1]), gamma, _LAMBDA_DEPTH * np.max(np.abs(gamma)),
+        np.repeat([0, 1], 30),
+    )
+    assert {-1, 0, 1} <= {kind for _, kind, _ in events}
+    # three columns +-z, two of them off by 1e-11: rounding puts the event
+    # that undoes a knot's change due at that knot, so only the bar stops it
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal(24)
+    X = np.column_stack([z, -z, z]) + 1e-11 * rng.standard_normal((24, 3)) * [1, 1, 0]
+    y = rng.standard_normal((24, 2))
+    events = events_checked_against_loop_reference(X.T @ X / 24, X.T @ y / 24, 0.0)
+    assert {-1, 0, 1} <= {kind for _, kind, _ in events}
 
 
 def test_lasso_path_matches_proximal_gradient_objective():
